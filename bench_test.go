@@ -220,7 +220,7 @@ func BenchmarkFig16_FGR(b *testing.B) {
 }
 
 // BenchmarkIdleHeavy pins the clock-skipping engine's win on a
-// low-intensity, idle-heavy workload — the regime the event engine targets:
+// low-intensity, idle-heavy workload — the regime clock skipping targets:
 // four compute-bound cores whose long instruction bursts, cache-hit waits,
 // and refresh lockouts are provably eventless and skipped wholesale. The
 // frac_simulated metric is the fraction of DRAM cycles actually simulated

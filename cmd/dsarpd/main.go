@@ -9,7 +9,7 @@
 // Usage:
 //
 //	dsarpd [-addr :8080] [-store .dsarp-store] [-store-max-mb N]
-//	       [-parallel N] [-max-queue N] [-engine event|cycle]
+//	       [-parallel N] [-max-queue N]
 //	       [-warmup N] [-measure N] [-seed N] [-sim-timeout D]
 //	       [-checkpoint-every N]
 //	       [-scale default|paper] [-percat N] [-sensitivity N]
@@ -18,7 +18,7 @@
 //	       [-debug-addr :6060] [-trace spans.jsonl]
 //	       [-log-format text|json] [-log-level info]
 //
-// -warmup/-measure/-engine only fill fields a submitted spec leaves unset;
+// -warmup/-measure only fill fields a submitted spec leaves unset;
 // fully-specified specs are served as sent. -scale/-percat/-sensitivity
 // set the workload scale behind experiment enumeration: a fleet of dsarpd
 // started with the same scale flags enumerates identical specs, so
@@ -95,7 +95,6 @@ import (
 
 	"dsarp/internal/exp"
 	"dsarp/internal/serve"
-	"dsarp/internal/sim"
 	"dsarp/internal/store"
 	"dsarp/internal/telemetry"
 )
@@ -111,7 +110,6 @@ func mainImpl() int {
 		storeMaxMB = flag.Int64("store-max-mb", 0, "store size cap in MiB (0 = unlimited)")
 		parallel   = flag.Int("parallel", 0, "concurrent simulations (0 = one per CPU)")
 		maxQueue   = flag.Int("max-queue", 256, "max queued+running tasks before 429")
-		engine     = flag.String("engine", "event", "default simulation engine for specs that omit one")
 		warmup     = flag.Int64("warmup", 0, "default warmup (DRAM cycles) for specs that omit one")
 		measure    = flag.Int64("measure", 0, "default measurement window for specs that omit one")
 		seed       = flag.Int64("seed", 42, "workload seed for the runner's built-in mixes")
@@ -155,12 +153,6 @@ func mainImpl() int {
 	if *measure > 0 {
 		opts.Measure = *measure
 	}
-	eng, err := sim.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "%v\n", err)
-		return 2
-	}
-	opts.Engine = eng
 	opts.SimTimeout = *simTimeout
 
 	// Chaos is parsed before the store opens: diskfail injects failures

@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"dsarp/internal/exp"
-	"dsarp/internal/sim"
 	"dsarp/internal/store"
 )
 
@@ -57,7 +56,6 @@ func mainImpl() int {
 		parallel = flag.Int("parallel", 0, "concurrent simulations (0 = one per CPU, 1 = serial)")
 		storeDir = flag.String("store", "", "persist per-simulation results in this content-addressed store directory")
 		storeMax = flag.Int64("store-max-mb", 0, "store size cap in MiB (0 = unlimited)")
-		engine   = flag.String("engine", "event", "simulation engine: event (clock-skipping) or cycle (reference stepper); tables are bit-identical")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		verbose  = flag.Bool("v", false, "print per-simulation progress")
@@ -85,12 +83,6 @@ func mainImpl() int {
 		opts.Seed = *seed
 	}
 	opts.Parallelism = *parallel
-	eng, err := sim.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "%v\n", err)
-		return 2
-	}
-	opts.Engine = eng
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir, store.Options{
 			MaxBytes:   *storeMax << 20,

@@ -11,7 +11,7 @@
 //	fleet -addrs http://host1:8080,http://host2:8080 -experiment table2
 //	      [-journal run.journal] [-store DIR [-store-max-mb N]]
 //	      [-scale default|paper] [-percat N] [-sensitivity N]
-//	      [-warmup N] [-measure N] [-seed N] [-engine event|cycle]
+//	      [-warmup N] [-measure N] [-seed N]
 //	      [-timeout DUR] [-concurrency N] [-max-attempts N] [-replicas R]
 //	      [-trace run.jsonl] [-progress 10s]
 //	      [-log-format text|json] [-log-level info]
@@ -63,7 +63,6 @@ import (
 
 	"dsarp/internal/exp"
 	"dsarp/internal/fleet"
-	"dsarp/internal/sim"
 	"dsarp/internal/store"
 	"dsarp/internal/telemetry"
 )
@@ -79,7 +78,6 @@ func mainImpl() int {
 		journal     = flag.String("journal", "", "append-only run journal; rerun with the same file to resume")
 		storeDir    = flag.String("store", "", "local result store directory ('' disables; resumed runs skip stored specs)")
 		storeMaxMB  = flag.Int64("store-max-mb", 0, "local store size cap in MiB (0 = unlimited)")
-		engine      = flag.String("engine", "event", "simulation engine baked into enumerated specs")
 		warmup      = flag.Int64("warmup", 0, "override warmup (DRAM cycles)")
 		measure     = flag.Int64("measure", 0, "override measurement window")
 		seed        = flag.Int64("seed", 42, "workload seed")
@@ -143,13 +141,6 @@ func mainImpl() int {
 	if *measure > 0 {
 		opts.Measure = *measure
 	}
-	eng, err := sim.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "%v\n", err)
-		return 2
-	}
-	opts.Engine = eng
-
 	cfg := fleet.Config{
 		Workers:        strings.Split(*addrs, ","),
 		RequestTimeout: *timeout,

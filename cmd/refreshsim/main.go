@@ -39,7 +39,6 @@ func main() {
 		measure   = flag.Int64("measure", 200_000, "measured DRAM cycles")
 		seed      = flag.Int64("seed", 42, "simulation seed")
 		parallel  = flag.Int("parallel", 0, "concurrent simulations in a density sweep (0 = one per CPU)")
-		engine    = flag.String("engine", "event", "simulation engine: event (clock-skipping) or cycle (reference stepper); results are bit-identical")
 		check     = flag.Bool("check", false, "attach the DRAM protocol checker")
 		list      = flag.Bool("list", false, "list mechanisms and benchmarks, then exit")
 	)
@@ -78,11 +77,6 @@ func main() {
 		ret = timing.Retention64ms
 	}
 
-	eng, err := sim.ParseEngine(*engine)
-	if err != nil {
-		fatalf("%v", err)
-	}
-
 	// Run the sweep on a bounded worker pool; reports print in flag order
 	// regardless of completion order, and every simulation is independent,
 	// so the output is identical to a serial sweep.
@@ -116,7 +110,6 @@ func main() {
 					Density:          densities[i],
 					Retention:        ret,
 					SubarraysPerBank: *subarrays,
-					Engine:           eng,
 					Seed:             *seed,
 					Warmup:           *warmup,
 					Measure:          *measure,

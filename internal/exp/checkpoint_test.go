@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"reflect"
@@ -95,6 +96,72 @@ func TestCheckpointWriteAndSelfResume(t *testing.T) {
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("resumed result diverged:\n got:  %+v\n want: %+v", got, want)
+	}
+}
+
+// TestCheckpointMidWindowResumeBytes: a run resumed from a mid-window
+// checkpoint must encode to the same bytes as the checkpoint-free run, for
+// every spec of a sweep of 2-core 8 Gb specs across mechanisms, workload
+// mixes and seeds. A result carrying run-loop facts (how many cycles were
+// stepped rather than skipped) fails this on a few specs, because a
+// resumed run loop starts with fresh saturation state.
+func TestCheckpointMidWindowResumeBytes(t *testing.T) {
+	opts := Options{
+		PerCategory: 1,
+		Sensitivity: 1,
+		Cores:       2,
+		Warmup:      2_000,
+		Measure:     8_000,
+		Seed:        42,
+		Densities:   []timing.Density{timing.Gb8},
+	}
+	ref := NewRunner(opts)
+	var specs []SimSpec
+	for _, wl := range ref.Mixes() {
+		for _, k := range core.Kinds() {
+			for seed := int64(1); seed <= 3; seed++ {
+				spec := ref.specFor(wl, k, timing.Gb8, "")
+				spec.Seed = seed
+				specs = append(specs, spec)
+			}
+		}
+	}
+	want, ok := ref.RunAll(specs)
+	if !ok {
+		t.Fatal("checkpoint-free sweep interrupted")
+	}
+
+	ckptOpts := opts
+	ckptOpts.Store = openStore(t)
+	ckptOpts.Checkpoints = true
+	ckptOpts.CheckpointEvery = 4_000 // one mid-window checkpoint, at 6000
+	if _, ok := NewRunner(ckptOpts).RunAll(specs); !ok {
+		t.Fatal("checkpointed sweep interrupted")
+	}
+	for _, spec := range specs {
+		dropResultEntry(t, ckptOpts.Store, spec.Key())
+	}
+	resumer := NewRunner(ckptOpts)
+	got, ok := resumer.RunAll(specs)
+	if !ok {
+		t.Fatal("resumed sweep interrupted")
+	}
+	if n := resumer.CheckpointsRestored(); n != int64(len(specs)) {
+		t.Fatalf("CheckpointsRestored = %d, want one per spec (%d)", n, len(specs))
+	}
+	for _, spec := range specs {
+		wantB, err := EncodeResult(want[spec.Key()])
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotB, err := EncodeResult(got[spec.Key()])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(wantB, gotB) {
+			t.Errorf("%s seed %d: resumed from cycle 6000, result bytes differ:\n cold:    %s\n resumed: %s",
+				spec.label(), spec.Seed, wantB, gotB)
+		}
 	}
 }
 
@@ -264,7 +331,6 @@ func TestPrefixKeySharing(t *testing.T) {
 		"variant": func(s *SimSpec) { s.Variant = "subs16" },
 		"seed":    func(s *SimSpec) { s.Seed++ },
 		"warmup":  func(s *SimSpec) { s.Warmup++ },
-		"engine":  func(s *SimSpec) { s.Engine = "cycle" },
 	} {
 		spec := base
 		mut(&spec)

@@ -49,9 +49,6 @@ type Options struct {
 	// config and seed, and in-flight runs are deduplicated so experiments
 	// still share cached results. Only the Progress callback order varies.
 	Parallelism int
-	// Engine selects the simulation run loop (default: the clock-skipping
-	// event engine). Both engines produce bit-identical tables.
-	Engine sim.Engine
 	// Store, if non-nil, is a content-addressed result cache the runner
 	// consults before simulating and writes each completed result to.
 	// Results served from the store are byte-identical to fresh computes
@@ -472,6 +469,9 @@ func (r *Runner) runSpec(spec SimSpec, mod func(*sim.Config)) (sim.Result, RunSo
 		if err != nil {
 			panic(fmt.Sprintf("exp: %s: %v", spec.label(), err))
 		}
+		// The runner hands out model results only, as stored: the run
+		// loop's SteppedCycles is not part of one.
+		res.SteppedCycles = 0
 		src = SourceComputed
 		r.simsRun.Add(1)
 		persisted := r.storePut(key, res)

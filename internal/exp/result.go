@@ -14,11 +14,13 @@ import (
 	"dsarp/internal/sim"
 )
 
-// resultWire mirrors sim.Result field for field with a JSON-safe error
+// resultWire mirrors sim.Result's model fields with a JSON-safe error
 // representation. Go's encoding/json prints float64s in their shortest
 // exactly-round-tripping form, so a decoded result is bit-identical to the
 // encoded one — the property the byte-exact serving guarantee rests on
 // (pinned by TestResultJSONRoundTrip and the warm-store golden tests).
+// SteppedCycles describes the run loop, not the simulated machine, and is
+// not stored: it decodes as zero.
 type resultWire struct {
 	Mechanism string `json:"mechanism"`
 	Workload  string `json:"workload"`
@@ -33,7 +35,6 @@ type resultWire struct {
 	Energy power.Breakdown `json:"energy"`
 
 	MeasuredCycles int64 `json:"measured_cycles"`
-	SteppedCycles  int64 `json:"stepped_cycles"`
 
 	CheckErr string `json:"check_err,omitempty"`
 }
@@ -51,7 +52,6 @@ func EncodeResult(r sim.Result) ([]byte, error) {
 		Sched:          r.Sched,
 		Energy:         r.Energy,
 		MeasuredCycles: r.MeasuredCycles,
-		SteppedCycles:  r.SteppedCycles,
 	}
 	if r.CheckErr != nil {
 		w.CheckErr = r.CheckErr.Error()
@@ -80,7 +80,6 @@ func DecodeResult(data []byte) (sim.Result, error) {
 		Sched:          w.Sched,
 		Energy:         w.Energy,
 		MeasuredCycles: w.MeasuredCycles,
-		SteppedCycles:  w.SteppedCycles,
 	}
 	if w.CheckErr != "" {
 		r.CheckErr = errors.New(w.CheckErr)

@@ -23,7 +23,7 @@ import (
 // stale results; pure optimizations pinned bit-exact by the golden tests
 // keep it. The golden tables in parallel_test.go are the check: if they
 // need regenerating, this needs bumping.
-const SchemaVersion = "dsarp-sim-v1"
+const SchemaVersion = "dsarp-sim-v2"
 
 // SimSpec is a fully-resolved, JSON-round-trippable description of one
 // simulation: everything that determines its Result, and nothing else. It
@@ -50,9 +50,8 @@ type SimSpec struct {
 	// Warmup and Measure are DRAM-cycle counts; 0 means "use the runner's
 	// default" (a warmup-free run is not expressible: sim.Config itself
 	// treats zero warmup as unset).
-	Warmup  int64  `json:"warmup,omitempty"`
-	Measure int64  `json:"measure,omitempty"`
-	Engine  string `json:"engine,omitempty"`
+	Warmup  int64 `json:"warmup,omitempty"`
+	Measure int64 `json:"measure,omitempty"`
 }
 
 // specFor builds the canonical spec for one of the runner's own runs.
@@ -66,13 +65,12 @@ func (r *Runner) specFor(wl workload.Workload, k core.Kind, d timing.Density, va
 		Seed:       r.opts.Seed,
 		Warmup:     r.opts.Warmup,
 		Measure:    r.opts.Measure,
-		Engine:     r.opts.Engine.String(),
 	}
 }
 
 // PrepareSpec normalizes and validates an externally-supplied spec:
 // library benchmark references are resolved to full profiles, unset
-// warmup/measure/engine fall back to the runner's options, and every field
+// warmup/measure fall back to the runner's options, and every field
 // is checked. The returned spec is the canonical form whose Key addresses
 // the result.
 func (r *Runner) PrepareSpec(s SimSpec) (SimSpec, error) {
@@ -88,9 +86,6 @@ func (r *Runner) PrepareSpec(s SimSpec) (SimSpec, error) {
 			s.Benchmarks = append(s.Benchmarks, p)
 		}
 		s.BenchmarkNames = nil
-	}
-	if s.Engine == "" {
-		s.Engine = r.opts.Engine.String()
 	}
 	if s.Warmup == 0 {
 		s.Warmup = r.opts.Warmup
@@ -114,9 +109,6 @@ func (r *Runner) PrepareSpec(s SimSpec) (SimSpec, error) {
 	}
 	if s.DensityGb <= 0 {
 		return s, fmt.Errorf("exp: spec %q has density %d Gb", s.Name, s.DensityGb)
-	}
-	if _, err := sim.ParseEngine(s.Engine); err != nil {
-		return s, fmt.Errorf("exp: %w", err)
 	}
 	if s.Warmup <= 0 || s.Measure <= 0 {
 		return s, fmt.Errorf("exp: spec %q has warmup=%d measure=%d", s.Name, s.Warmup, s.Measure)
@@ -148,8 +140,8 @@ func (s SimSpec) Key() store.Key {
 // spec with Measure zeroed, and the cycle. Zeroing Measure is what makes
 // measure-extension reuse work — a run's state at cycle C is independent
 // of how long the measurement window will eventually be — while every
-// other field (mechanism, density, variant, seed, warmup, engine,
-// benchmarks) shapes the machine state from cycle 0 and stays in the hash.
+// other field (mechanism, density, variant, seed, warmup, benchmarks)
+// shapes the machine state from cycle 0 and stays in the hash.
 // Folding snap.Version in (unlike Key) retires stale-layout snapshots at
 // the key level; folding "snap" into the payload keeps the checkpoint key
 // space disjoint from result keys even within the same store namespace.
@@ -180,15 +172,10 @@ func (s SimSpec) simConfig() sim.Config {
 	if err != nil {
 		panic(fmt.Sprintf("exp: unnormalized spec: %v", err))
 	}
-	eng, err := sim.ParseEngine(s.Engine)
-	if err != nil {
-		panic(fmt.Sprintf("exp: unnormalized spec: %v", err))
-	}
 	return sim.Config{
 		Workload:  workload.Workload{Name: s.Name, Benchmarks: s.Benchmarks},
 		Mechanism: k,
 		Density:   timing.Density(s.DensityGb),
-		Engine:    eng,
 		Seed:      s.Seed,
 		Warmup:    s.Warmup,
 		Measure:   s.Measure,

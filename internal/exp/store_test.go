@@ -112,7 +112,6 @@ func TestSpecKeysDistinguishConfigs(t *testing.T) {
 		"seed":    func(s *SimSpec) { s.Seed++ },
 		"measure": func(s *SimSpec) { s.Measure++ },
 		"warmup":  func(s *SimSpec) { s.Warmup++ },
-		"engine":  func(s *SimSpec) { s.Engine = sim.EngineCycle.String() },
 		"name":    func(s *SimSpec) { s.Name = "other" },
 	} {
 		spec := base
@@ -147,7 +146,6 @@ func TestSpecNormalizationKeysByContent(t *testing.T) {
 		Seed:       42,
 		Warmup:     r.Options().Warmup,
 		Measure:    r.Options().Measure,
-		Engine:     r.Options().Engine.String(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +179,6 @@ func TestPrepareSpecRejectsBadInput(t *testing.T) {
 		"bad-benchmark": func(s *SimSpec) { s.BenchmarkNames = []string{"nope"} },
 		"bad-mechanism": func(s *SimSpec) { s.Mechanism = "MAGIC" },
 		"bad-density":   func(s *SimSpec) { s.DensityGb = -8 },
-		"bad-engine":    func(s *SimSpec) { s.Engine = "warp" },
 		"bad-variant":   func(s *SimSpec) { s.Variant = "quantum9" },
 		"bad-measure":   func(s *SimSpec) { s.Measure = -1 },
 	} {

@@ -41,7 +41,7 @@ type RefreshPolicy interface {
 	// issue, or read completion happens before the returned cycle. It is a
 	// lower bound: answering earlier than the true next action only costs a
 	// fallback to cycle stepping, but answering later would desynchronize
-	// the two engines — never miss an event.
+	// the clock-skipping run from a per-cycle one — never miss an event.
 	NextDeadline(now int64) int64
 
 	// Skip informs the policy that its Ticks for cycles [from, to) were

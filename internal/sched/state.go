@@ -18,8 +18,9 @@ import (
 // LoadState rebuilds them by replaying add() — but the miss cache is NOT
 // derived: missNextTry is tightened by noteArrival on every admission,
 // and no rescan can recover it, so dropping it would make a restored
-// controller scan on cycles the cold run provably skipped and fork the
-// engines' SteppedCycles accounting.
+// controller scan on cycles the cold run provably skipped. That changes no
+// model result (the cache is exact), but the restored run would redo
+// demand searches the uninterrupted run never paid for.
 func (c *Controller) AppendState(w *snap.Writer) {
 	w.I64(c.seq)
 	w.Bool(c.wmode)

@@ -423,6 +423,14 @@ func TestValidationAndRouting(t *testing.T) {
 	if resp, _ := s.post(t, "/v1/sweep", sweepRequest{}); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty sweep: %d, want 400", resp.StatusCode)
 	}
+	// Specs no longer name a simulation engine: a body that still does is
+	// refused as carrying an unknown field, never served or crashed on.
+	legacy := json.RawMessage(`{"name":"legacy","benchmark_names":["h264.encode"],
+		"mechanism":"REFab","density_gb":8,"seed":1,"warmup":2000,"measure":8000,"engine":"cycle"}`)
+	if resp, body := s.post(t, "/v1/sim", legacy); resp.StatusCode != http.StatusBadRequest ||
+		!strings.Contains(string(body), `unknown field \"engine\"`) {
+		t.Errorf("legacy engine field: %d %s, want 400 naming the unknown field", resp.StatusCode, body)
+	}
 	if resp, _ := s.get(t, "/v1/jobs/deadbeef"); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job: %d, want 404", resp.StatusCode)
 	}

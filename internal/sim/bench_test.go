@@ -51,9 +51,9 @@ func BenchmarkRunPerMechanism(b *testing.B) {
 	}
 }
 
-// BenchmarkEngines compares the cycle stepper against the clock-skipping
-// event engine across workload intensities; the frac_simulated metric is
-// the fraction of cycles the engine actually simulated (1.0 = no skipping).
+// BenchmarkEngines compares the cycle oracle against the clock-skipping
+// run loop across workload intensities; the frac_simulated metric is the
+// fraction of cycles the run loop actually simulated (1.0 = no skipping).
 func BenchmarkEngines(b *testing.B) {
 	lib := workload.NonIntensive()
 	cases := []struct {
@@ -65,24 +65,27 @@ func BenchmarkEngines(b *testing.B) {
 		{"intensive", workload.IntensiveMixes(1, 4, 1)[0]},
 	}
 	for _, tc := range cases {
-		for _, eng := range []Engine{EngineCycle, EngineEvent} {
-			b.Run(tc.name+"/"+eng.String(), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					res, err := Run(Config{
-						Workload:  tc.wl,
-						Mechanism: core.KindREFab,
-						Density:   timing.Gb32,
-						Seed:      1,
-						Warmup:    10_000,
-						Measure:   100_000,
-						Engine:    eng,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.ReportMetric(res.SkipRate(), "frac_simulated")
-				}
-			})
+		cfg := Config{
+			Workload:  tc.wl,
+			Mechanism: core.KindREFab,
+			Density:   timing.Gb32,
+			Seed:      1,
+			Warmup:    10_000,
+			Measure:   100_000,
 		}
+		b.Run(tc.name+"/cycle", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				cycleOracle(b, cfg, nil, 0, nil)
+			}
+		})
+		b.Run(tc.name+"/event", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res, err := Run(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(res.SkipRate(), "frac_simulated")
+			}
+		})
 	}
 }

@@ -11,38 +11,72 @@ import (
 	"dsarp/internal/workload"
 )
 
-// runBothEngines executes cfg under the cycle stepper and the clock-skipping
-// event engine and asserts the Results are identical bit for bit (modulo the
-// engines' own SteppedCycles accounting, which is what distinguishes them).
-// It returns the event-engine result for callers that want the skip rate.
-func runBothEngines(t *testing.T, name string, cfg Config) Result {
+// cycleOracle is the per-cycle reference stepper the production run loop
+// is checked against: every component ticks on every DRAM cycle and
+// nothing is skipped. It runs cfg on a fresh machine, or from the snapshot
+// from if that is non-nil, and hands sink (if non-nil) a snapshot at the
+// warmup boundary and at every Warmup + k*every cycle inside the
+// measurement window, the schedule RunWithCheckpoints follows.
+func cycleOracle(t testing.TB, cfg Config, from []byte, every int64, sink Checkpointer) Result {
 	t.Helper()
-	cfg.Engine = EngineCycle
-	want, err := Run(cfg)
-	if err != nil {
-		t.Fatalf("%s: cycle engine: %v", name, err)
+	cfg = cfg.WithDefaults()
+	var s *System
+	var err error
+	if from == nil {
+		s, err = NewSystem(cfg)
+	} else {
+		s, err = RestoreSystem(cfg, from)
 	}
-	cfg.Engine = EngineEvent
+	if err != nil {
+		t.Fatalf("cycle oracle: %v", err)
+	}
+	for s.now < cfg.Warmup {
+		s.Step()
+	}
+	if !s.inMeasure {
+		s.beginMeasure()
+		if sink != nil {
+			sink(s.now, s.Snapshot())
+		}
+	}
+	end := cfg.Warmup + cfg.Measure
+	for s.now < end {
+		s.Step()
+		if sink != nil && every > 0 && s.now < end && (s.now-cfg.Warmup)%every == 0 {
+			sink(s.now, s.Snapshot())
+		}
+	}
+	return s.result()
+}
+
+// sameModel reports whether two Results agree in every model field:
+// everything except SteppedCycles, which describes the run loop.
+func sameModel(a, b Result) bool {
+	a.SteppedCycles, b.SteppedCycles = 0, 0
+	return reflect.DeepEqual(a, b)
+}
+
+// runAgainstOracle executes cfg under the cycle oracle and the production
+// run loop and asserts the Results are identical bit for bit in every
+// model field. It returns the production result for callers that want the
+// skip rate.
+func runAgainstOracle(t *testing.T, name string, cfg Config) Result {
+	t.Helper()
+	want := cycleOracle(t, cfg, nil, 0, nil)
 	got, err := Run(cfg)
 	if err != nil {
-		t.Fatalf("%s: event engine: %v", name, err)
+		t.Fatalf("%s: run: %v", name, err)
 	}
-	if want.SteppedCycles != want.MeasuredCycles {
-		t.Errorf("%s: cycle engine stepped %d of %d cycles; it must never skip",
-			name, want.SteppedCycles, want.MeasuredCycles)
+	if !sameModel(want, got) {
+		t.Errorf("%s: run loop diverged from the cycle oracle:\n oracle: %+v\n run:    %+v", name, want, got)
 	}
-	ev := got
-	want.SteppedCycles, got.SteppedCycles = 0, 0
-	if !reflect.DeepEqual(want, got) {
-		t.Errorf("%s: engines diverged:\n cycle: %+v\n event: %+v", name, want, got)
-	}
-	return ev
+	return got
 }
 
 // TestEngineEquivalenceAllMechanisms runs the full matrix of the paper's 13
-// mechanism configurations under both engines and requires byte-equal
-// Results: same IPC, MPKI, per-core stats, DRAM command counts, controller
-// stats (latency sums included), and energy.
+// mechanism configurations under the cycle oracle and the run loop and
+// requires byte-equal Results: same IPC, MPKI, per-core stats, DRAM command
+// counts, controller stats (latency sums included), and energy.
 func TestEngineEquivalenceAllMechanisms(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-simulation equivalence matrix")
@@ -51,7 +85,7 @@ func TestEngineEquivalenceAllMechanisms(t *testing.T) {
 		k := k
 		t.Run(k.String(), func(t *testing.T) {
 			t.Parallel()
-			runBothEngines(t, k.String(), Config{
+			runAgainstOracle(t, k.String(), Config{
 				Workload:  smallWorkload(),
 				Mechanism: k,
 				Density:   timing.Gb32,
@@ -104,14 +138,14 @@ func TestEngineEquivalenceSweepPoints(t *testing.T) {
 			t.Parallel()
 			cfg := base()
 			mod(&cfg)
-			runBothEngines(t, name, cfg)
+			runAgainstOracle(t, name, cfg)
 		})
 	}
 }
 
-// TestEngineEquivalenceFuzz drives both engines over seeded random
-// configurations — mechanism x density x workload intensity x channel count —
-// and requires identical Results for every draw. Any divergence means a
+// TestEngineEquivalenceFuzz drives the oracle and the run loop over seeded
+// random configurations — mechanism x density x workload intensity x
+// channel count — and requires identical Results for every draw. Any divergence means a
 // NextEvent implementation overshot a real event.
 func TestEngineEquivalenceFuzz(t *testing.T) {
 	if testing.Short() {
@@ -149,17 +183,17 @@ func TestEngineEquivalenceFuzz(t *testing.T) {
 			i, cfg.Mechanism, cfg.Density, cfg.Channels, cfg.Workload.Name)
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			runBothEngines(t, name, cfg)
+			runAgainstOracle(t, name, cfg)
 		})
 	}
 }
 
 // TestEngineEquivalenceSaturated pins the stepper-fallback regime: all-
-// intensive workloads keep nearly every cycle event-bearing, so the event
-// engine spends most of its time in selective stepping and the blind-window
+// intensive workloads keep nearly every cycle event-bearing, so the run
+// loop spends most of its time in selective stepping and the blind-window
 // fallback — exactly the paths the saturation-hot-path optimizations
 // (incremental FR-FCFS candidate registers, SoA DRAM timing state, in-Tick
-// core fast-forward) rewrite. Both engines must stay byte-equal across the
+// core fast-forward) rewrite. The run loop must match the oracle across the
 // refresh mechanisms with the most per-cycle machinery, at 8-Gb and 32-Gb
 // densities, one- and two-channel, and under the open-row ablation.
 func TestEngineEquivalenceSaturated(t *testing.T) {
@@ -219,7 +253,7 @@ func TestEngineEquivalenceSaturated(t *testing.T) {
 		name, mk := name, mk
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			res := runBothEngines(t, name, mk())
+			res := runAgainstOracle(t, name, mk())
 			if res.SkipRate() < 0.5 {
 				t.Errorf("%s: skip rate %.2f — this config is not saturated enough to pin the stepper fallback",
 					name, res.SkipRate())
@@ -228,12 +262,12 @@ func TestEngineEquivalenceSaturated(t *testing.T) {
 	}
 }
 
-// TestEventEngineSkipsIdleHeavy pins the point of the event engine: on a
-// workload dominated by compute (non-intensive benchmarks), most cycles are
-// provably eventless and must be skipped, not stepped.
+// TestEventEngineSkipsIdleHeavy pins the point of the clock-skipping run
+// loop: on a workload dominated by compute (non-intensive benchmarks), most
+// cycles are provably eventless and must be skipped, not stepped.
 func TestEventEngineSkipsIdleHeavy(t *testing.T) {
 	lib := workload.NonIntensive()
-	res := runBothEngines(t, "idle-heavy", Config{
+	res := runAgainstOracle(t, "idle-heavy", Config{
 		Workload:  workload.Workload{Name: "idleheavy", Benchmarks: lib[len(lib)-4:]},
 		Mechanism: core.KindREFab,
 		Density:   timing.Gb32,
@@ -242,7 +276,7 @@ func TestEventEngineSkipsIdleHeavy(t *testing.T) {
 		Measure:   30_000,
 	})
 	if res.SkipRate() > 0.5 {
-		t.Errorf("idle-heavy skip rate %.2f: event engine stepped %d of %d cycles, want < 50%%",
+		t.Errorf("idle-heavy skip rate %.2f: run loop stepped %d of %d cycles, want < 50%%",
 			res.SkipRate(), res.SteppedCycles, res.MeasuredCycles)
 	}
 }

@@ -21,45 +21,6 @@ import (
 	"dsarp/internal/workload"
 )
 
-// Engine selects the simulation run loop.
-type Engine int
-
-const (
-	// EngineEvent is the event-driven clock-skipping engine (the default):
-	// the run loop advances time directly to the earliest cycle at which any
-	// component can do something, falling back to cycle stepping whenever a
-	// component answers "now". Bit-identical to EngineCycle by construction
-	// of the NextEvent contract (pinned by the engine-equivalence tests).
-	EngineEvent Engine = iota
-	// EngineCycle is the reference per-cycle stepper: every component ticks
-	// on every DRAM cycle.
-	EngineCycle
-)
-
-// String returns the engine's flag spelling.
-func (e Engine) String() string {
-	switch e {
-	case EngineEvent:
-		return "event"
-	case EngineCycle:
-		return "cycle"
-	default:
-		return fmt.Sprintf("Engine(%d)", int(e))
-	}
-}
-
-// ParseEngine resolves an -engine flag value.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "event":
-		return EngineEvent, nil
-	case "cycle":
-		return EngineCycle, nil
-	default:
-		return 0, fmt.Errorf("sim: unknown engine %q (want cycle or event)", s)
-	}
-}
-
 // Config describes one simulation.
 type Config struct {
 	Workload  workload.Workload
@@ -86,11 +47,6 @@ type Config struct {
 	// Mechanism (the Mechanism still selects SARP and the timing mode).
 	// Used by the DESIGN.md ablations to run DARP variants.
 	Policy func(v sched.View, seed int64) sched.RefreshPolicy
-
-	// Engine selects the run loop; the zero value is the clock-skipping
-	// event engine. Both engines produce identical Results (modulo the
-	// SteppedCycles accounting of the engine itself).
-	Engine Engine
 
 	Seed int64
 
@@ -160,10 +116,11 @@ type Result struct {
 
 	MeasuredCycles int64 // DRAM cycles
 
-	// SteppedCycles is the number of measurement-window cycles the engine
-	// actually ticked; the rest were proven eventless and skipped. Under
-	// EngineCycle it equals MeasuredCycles. It describes the engine, not the
-	// simulated machine — the equivalence tests zero it before comparing.
+	// SteppedCycles is the number of measurement-window cycles the run loop
+	// actually ticked in this process (for a resumed run, only those after
+	// the resume point); the rest were proven eventless and skipped. It
+	// describes the run loop, not the simulated machine: stored results do
+	// not carry it, and the equivalence tests zero it before comparing.
 	SteppedCycles int64
 
 	CheckErr error
@@ -195,7 +152,7 @@ type System struct {
 	cores  []*cpu.Core
 
 	now     int64
-	stepped int64 // cycles actually ticked (the rest were skipped)
+	stepped int64 // cycles ticked since beginMeasure or restore (the rest were skipped)
 	nextID  int64
 
 	// hot identifies the component that most recently forced a step
@@ -208,14 +165,6 @@ type System struct {
 	hotKind int8 // hotNone, or the component list hotIdx indexes
 	hotIdx  int
 
-	// Event-loop saturation state. These live on the System rather than as
-	// RunTo locals so a snapshot captures them and a resumed run's engine
-	// makes the same step-vs-skip decisions as the uninterrupted run — the
-	// SteppedCycles accounting is part of the bit-exactness contract.
-	loopSat   int  // consecutive-stepped saturation counter
-	loopBlind int  // plain Steps remaining in the current blind window
-	keepLoop  bool // one-shot: next RunTo keeps loopSat/loopBlind (set by restore)
-
 	// Checkpoint schedule, armed by RunWithCheckpoints/ResumeRun: a snapshot
 	// is captured whenever the clock reaches ckptNext.
 	ckptEvery  int64
@@ -225,9 +174,8 @@ type System struct {
 
 	// Measurement baseline (beginMeasure). Carried in snapshots so a resumed
 	// run windows its Result identically to the cold run.
-	inMeasure    bool
-	start        snapshot
-	startStepped int64
+	inMeasure bool
+	start     snapshot
 }
 
 // hot-component kinds (System.hotKind).
@@ -319,7 +267,7 @@ func (p *memPort) WriteLine(addr uint64) bool {
 	return s.ctrls[ch].EnqueueWrite(req, s.now)
 }
 
-// Step advances the whole system one DRAM cycle.
+// Step advances the whole system one DRAM cycle, ticking every component.
 func (s *System) Step() {
 	t := s.now
 	for _, sl := range s.slices {
@@ -455,9 +403,9 @@ func (s *System) stepSelective() int {
 }
 
 // Saturation fallback parameters. A skip of at least worthwhileSkip cycles
-// is what actually pays for the engine's scanning; when none has appeared
-// for saturatedAfter consecutive stepped cycles — and the selective steps
-// in between are not avoiding any expensive Ticks either — the engine runs
+// is what actually pays for RunTo's scanning; when none has appeared for
+// saturatedAfter consecutive stepped cycles — and the selective steps in
+// between are not avoiding any expensive Ticks either — RunTo runs
 // blindWindow plain Steps with no scanning at all, then probes again.
 // Plain stepping is the reference behavior, so the fallback is exact by
 // construction; it only defers the detection of the next skippable window
@@ -486,57 +434,22 @@ func (s *System) stopped() bool {
 	return s.cfg.Stop != nil && s.cfg.Stop.Load()
 }
 
-// RunTo advances the system to cycle end under the configured engine,
-// returning early (with s.now < end) if Config.Stop flips true. The
-// saturation state lives on the System (loopSat/loopBlind): it is zeroed
-// on entry — matching the old per-call locals — unless a snapshot restore
-// armed keepLoop, in which case the restored values carry the interrupted
-// run's engine position forward.
+// RunTo advances the system to cycle end, returning early (with s.now <
+// end) if Config.Stop flips true. Every call starts with fresh saturation
+// state; that state only decides between stepping and skipping, never
+// what the machine computes.
 func (s *System) RunTo(end int64) {
-	if s.keepLoop {
-		s.keepLoop = false
-	} else {
-		s.loopSat, s.loopBlind = 0, 0
-	}
-	poll := 0
-	checkStop := func() bool {
-		if poll++; poll < stopPollEvery {
-			return false
-		}
-		poll = 0
-		return s.stopped()
-	}
-	if s.cfg.Engine == EngineCycle {
-		for s.now < end {
-			s.maybeCheckpoint()
-			s.Step()
-			if checkStop() {
+	sat, poll := 0, 0
+	for s.now < end {
+		if poll++; poll >= stopPollEvery {
+			poll = 0
+			if s.stopped() {
 				return
 			}
 		}
-		return
-	}
-	for s.now < end {
-		if checkStop() {
-			return
-		}
-		if s.loopBlind > 0 {
-			// Saturation fallback: run the rest of the blind window as plain
-			// Steps with no scanning. Resumable — a snapshot mid-window
-			// restores loopBlind and re-enters here.
-			for s.loopBlind > 0 && s.now < end {
-				s.maybeCheckpoint()
-				s.Step()
-				s.loopBlind--
-			}
-			continue
-		}
 		if t := s.NextEvent(end); t > s.now {
-			// The saturation reset is decided on the full skip length BEFORE
-			// skipTo splits it at checkpoint boundaries: a checkpointed run
-			// and its plain twin must make identical saturation decisions.
 			if t-s.now >= worthwhileSkip {
-				s.loopSat = 0
+				sat = 0
 			}
 			s.skipTo(t)
 			if s.now < end {
@@ -549,17 +462,18 @@ func (s *System) RunTo(end int64) {
 		}
 		s.maybeCheckpoint()
 		if s.stepSelective() == 0 {
-			s.loopSat += 4 // nothing avoided at all: saturate faster
+			sat += 4 // nothing avoided at all: saturate faster
 		} else {
-			s.loopSat++
+			sat++
 		}
-		if s.loopSat >= saturatedAfter {
-			// Arm the blind window; stay wary until a real skip lands. The
-			// counter is set before the window runs (it is not consulted
-			// inside it), so a snapshot taken mid-window carries the value
-			// the old post-window assignment would have produced.
-			s.loopSat = saturatedAfter / 2
-			s.loopBlind = blindWindow
+		if sat >= saturatedAfter {
+			// Saturation fallback: a blind window of plain Steps with no
+			// scanning, then stay wary until a real skip lands.
+			sat = saturatedAfter / 2
+			for i := 0; i < blindWindow && s.now < end; i++ {
+				s.maybeCheckpoint()
+				s.Step()
+			}
 		}
 	}
 }
@@ -582,8 +496,7 @@ func (s *System) maybeCheckpoint() {
 // skipTo is SkipTo with checkpoint-boundary splitting: a skip that would
 // jump over a scheduled checkpoint cycle is split so the snapshot is
 // captured with the clock exactly on the boundary. The split is invisible
-// to the machine (SkipTo composes) and to the engine (RunTo decides the
-// saturation reset on the unsplit length).
+// to the machine: SkipTo composes.
 func (s *System) skipTo(t int64) {
 	for s.ckptSink != nil && s.ckptNext < t && s.ckptNext >= s.now {
 		if s.ckptNext > s.now {
@@ -596,10 +509,6 @@ func (s *System) skipTo(t int64) {
 
 // Now returns the current DRAM cycle.
 func (s *System) Now() int64 { return s.now }
-
-// SteppedCycles returns how many cycles the engine actually ticked; the
-// difference to Now() is the cycles the event engine skipped.
-func (s *System) SteppedCycles() int64 { return s.stepped }
 
 // Controllers exposes the per-channel controllers (tests, diagnostics).
 func (s *System) Controllers() []*sched.Controller { return s.ctrls }
@@ -636,7 +545,7 @@ func (s *System) snap() snapshot {
 // resumed run windows its Result identically to the cold run.
 func (s *System) beginMeasure() {
 	s.start = s.snap()
-	s.startStepped = s.stepped
+	s.stepped = 0
 	s.inMeasure = true
 }
 
@@ -651,7 +560,7 @@ func (s *System) result() Result {
 		DRAM:           end.dram.Sub(s.start.dram),
 		Sched:          end.sched.Sub(s.start.sched),
 		MeasuredCycles: cfg.Measure,
-		SteppedCycles:  s.stepped - s.startStepped,
+		SteppedCycles:  s.stepped,
 	}
 	for i := range s.cores {
 		cs := cpu.Stats{
@@ -707,7 +616,7 @@ type Checkpointer func(cycle int64, data []byte)
 // warmup it hands sink the warmup-boundary snapshot, then — if every > 0 —
 // further snapshots at cycles Warmup + k*every strictly inside the
 // measurement window. A checkpointed run's Result is bit-identical to the
-// plain run's, SteppedCycles included. Configurations whose state cannot
+// plain run's in every model field. Configurations whose state cannot
 // serialize (protocol checker attached, non-serializable custom policy)
 // silently run without checkpoints.
 func RunWithCheckpoints(cfg Config, every int64, sink Checkpointer) (Result, error) {
@@ -722,10 +631,6 @@ func RunWithCheckpoints(cfg Config, every int64, sink Checkpointer) (Result, err
 	}
 	s.beginMeasure()
 	if sink != nil && s.CanSnapshot() {
-		// The warmup-boundary snapshot. Saturation state is zeroed exactly
-		// as the measurement RunTo below zeroes it on entry, so a run
-		// resumed from this snapshot replays the same engine decisions.
-		s.loopSat, s.loopBlind = 0, 0
 		sink(s.now, s.Snapshot())
 		s.armCheckpoints(every, sink)
 	}
@@ -739,8 +644,9 @@ func RunWithCheckpoints(cfg Config, every int64, sink Checkpointer) (Result, err
 // ResumeRun continues a run from a snapshot taken by a checkpointed run of
 // a config identical up to Measure (the snapshot is agnostic to the
 // measurement length, enabling measure-extension reuse). The resumed run's
-// Result is bit-identical to an uninterrupted run's. every/sink arm
-// further checkpoints exactly as RunWithCheckpoints would.
+// Result is bit-identical to an uninterrupted run's in every model field;
+// its SteppedCycles counts only the cycles after the resume point.
+// every/sink arm further checkpoints exactly as RunWithCheckpoints would.
 func ResumeRun(cfg Config, data []byte, every int64, sink Checkpointer) (Result, error) {
 	cfg = cfg.WithDefaults()
 	s, err := RestoreSystem(cfg, data)

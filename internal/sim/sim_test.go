@@ -81,21 +81,18 @@ func TestRefreshHurtsAndMechanismsRecover(t *testing.T) {
 // TestRunStopInterrupts: a pre-tripped Stop flag aborts the run with
 // ErrInterrupted and no Result — the watchdog contract.
 func TestRunStopInterrupts(t *testing.T) {
-	for _, engine := range []Engine{EngineEvent, EngineCycle} {
-		stop := &atomic.Bool{}
-		stop.Store(true)
-		cfg := Config{
-			Workload:  smallWorkload(),
-			Mechanism: core.KindREFab,
-			Seed:      1,
-			Warmup:    20_000,
-			Measure:   80_000,
-			Engine:    engine,
-			Stop:      stop,
-		}
-		if _, err := Run(cfg); !errors.Is(err, ErrInterrupted) {
-			t.Errorf("%v: Run with tripped Stop = %v, want ErrInterrupted", engine, err)
-		}
+	stop := &atomic.Bool{}
+	stop.Store(true)
+	cfg := Config{
+		Workload:  smallWorkload(),
+		Mechanism: core.KindREFab,
+		Seed:      1,
+		Warmup:    20_000,
+		Measure:   80_000,
+		Stop:      stop,
+	}
+	if _, err := Run(cfg); !errors.Is(err, ErrInterrupted) {
+		t.Errorf("Run with tripped Stop = %v, want ErrInterrupted", err)
 	}
 }
 

@@ -28,23 +28,21 @@ func (s *System) CanSnapshot() bool {
 
 // Snapshot serializes the complete mutable machine state — cores (trace
 // generator rng included), cache slices (MSHR chains), DRAM devices,
-// controllers (queues and in-flight FIFOs), refresh policies, the engine's
-// saturation counters, and the measurement baseline — into a versioned,
-// hash-framed snap container. Restoring it with RestoreSystem under the
-// same Config (Measure aside) yields a machine that produces bit-identical
-// results to one that never stopped. Panics if CanSnapshot is false.
+// controllers (queues and in-flight FIFOs), refresh policies, and the
+// measurement baseline — into a versioned, hash-framed snap container.
+// Restoring it with RestoreSystem under the same Config (Measure aside)
+// yields a machine that produces bit-identical results to one that never
+// stopped. The run loop's own state (stepped-cycle count, saturation
+// counters) is not machine state and is not captured. Panics if
+// CanSnapshot is false.
 func (s *System) Snapshot() []byte {
 	w := snap.NewWriter()
 	w.Section("meta")
 	w.I64(s.now)
-	w.I64(s.stepped)
 	w.I64(s.nextID)
-	w.Int(s.loopSat)
-	w.Int(s.loopBlind)
 	w.Int(len(s.devs))
 	w.Int(len(s.cores))
 	w.Bool(s.inMeasure)
-	w.I64(s.startStepped)
 	if s.inMeasure {
 		w.Section("run")
 		appendWindow(w, &s.start)
@@ -101,14 +99,10 @@ func RestoreSystem(cfg Config, data []byte) (*System, error) {
 		return nil, err
 	}
 	s.now = r.I64()
-	s.stepped = r.I64()
 	s.nextID = r.I64()
-	s.loopSat = r.Int()
-	s.loopBlind = r.Int()
 	nDevs := r.Int()
 	nCores := r.Int()
 	s.inMeasure = r.Bool()
-	s.startStepped = r.I64()
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
@@ -179,7 +173,6 @@ func RestoreSystem(cfg Config, data []byte) (*System, error) {
 	if err := r.Close(); err != nil {
 		return nil, err
 	}
-	s.keepLoop = true
 	return s, nil
 }
 

@@ -16,8 +16,8 @@ import (
 )
 
 // runCheckpointed runs cfg collecting every snapshot, asserts the
-// checkpointed Result is byte-identical (SteppedCycles included) to the
-// plain run's, and returns the plain result plus the captured snapshots.
+// checkpointed Result is byte-identical in every model field to the plain
+// run's, and returns the plain result plus the captured snapshots.
 func runCheckpointed(t *testing.T, name string, cfg Config, every int64) (Result, []int64, [][]byte) {
 	t.Helper()
 	plain, err := Run(cfg)
@@ -33,7 +33,7 @@ func runCheckpointed(t *testing.T, name string, cfg Config, every int64) (Result
 	if err != nil {
 		t.Fatalf("%s: checkpointed run: %v", name, err)
 	}
-	if !reflect.DeepEqual(plain, ck) {
+	if !sameModel(plain, ck) {
 		t.Errorf("%s: checkpointing perturbed the run:\n plain: %+v\n ckpt:  %+v", name, plain, ck)
 	}
 	if len(snaps) == 0 {
@@ -46,8 +46,7 @@ func runCheckpointed(t *testing.T, name string, cfg Config, every int64) (Result
 }
 
 // resumeAll resumes from every captured snapshot and requires each resumed
-// Result to be byte-identical to the cold run's — SteppedCycles included
-// when the engines match.
+// Result to be byte-identical to the cold run's in every model field.
 func resumeAll(t *testing.T, name string, cfg Config, want Result, cycles []int64, snaps [][]byte) {
 	t.Helper()
 	for i, data := range snaps {
@@ -55,7 +54,7 @@ func resumeAll(t *testing.T, name string, cfg Config, want Result, cycles []int6
 		if err != nil {
 			t.Fatalf("%s: resume from cycle %d: %v", name, cycles[i], err)
 		}
-		if !reflect.DeepEqual(want, got) {
+		if !sameModel(want, got) {
 			t.Errorf("%s: resume from cycle %d diverged:\n cold:    %+v\n resumed: %+v",
 				name, cycles[i], want, got)
 		}
@@ -87,9 +86,9 @@ func TestResumeBitExactAllMechanisms(t *testing.T) {
 	}
 }
 
-// TestResumeBitExactSaturated pins resume correctness where the event
-// engine leans on its saturation fallback: intensive many-core configs
-// whose snapshots routinely land inside blind windows.
+// TestResumeBitExactSaturated pins resume correctness where the run loop
+// leans on its saturation fallback: intensive many-core configs whose
+// snapshots routinely land inside blind windows.
 func TestResumeBitExactSaturated(t *testing.T) {
 	if testing.Short() {
 		t.Skip("saturated resume runs")
@@ -115,30 +114,42 @@ func TestResumeBitExactSaturated(t *testing.T) {
 	}
 }
 
-// TestResumeCycleEngine covers the plain stepper: snapshot and resume
-// under EngineCycle must be byte-exact too.
+// TestResumeCycleEngine covers the cycle oracle: snapshots it takes must
+// resume under it to the oracle's own Result.
 func TestResumeCycleEngine(t *testing.T) {
 	cfg := Config{
 		Workload:  smallWorkload(),
 		Mechanism: core.KindDSARP,
 		Density:   timing.Gb32,
-		Engine:    EngineCycle,
 		Seed:      11,
 		Warmup:    5_000,
 		Measure:   15_000,
 	}
-	want, cycles, snaps := runCheckpointed(t, "cycle", cfg, 4_000)
-	resumeAll(t, "cycle", cfg, want, cycles, snaps)
+	var cycles []int64
+	var snaps [][]byte
+	want := cycleOracle(t, cfg, nil, 4_000, func(c int64, d []byte) {
+		cycles = append(cycles, c)
+		snaps = append(snaps, d)
+	})
+	if len(snaps) != 4 {
+		t.Fatalf("oracle took %d snapshots at %v, want 4", len(snaps), cycles)
+	}
+	for i, data := range snaps {
+		if got := cycleOracle(t, cfg, data, 0, nil); !sameModel(want, got) {
+			t.Errorf("resume from cycle %d diverged:\n cold:    %+v\n resumed: %+v", cycles[i], want, got)
+		}
+	}
 }
 
-// TestResumeCrossEngine snapshots under one engine and restores under the
-// other. The machine state is engine-independent, so the Results must
-// match up to SteppedCycles (the equivalence-matrix convention).
+// TestResumeCrossEngine snapshots under the run loop and restores under
+// the cycle oracle, and the other way round. The machine state does not
+// depend on how it was advanced, so the Results must match in every model
+// field (the equivalence-matrix convention).
 func TestResumeCrossEngine(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-engine resume runs")
 	}
-	base := Config{
+	cfg := Config{
 		Workload:  smallWorkload(),
 		Mechanism: core.KindDSARP,
 		Density:   timing.Gb32,
@@ -146,34 +157,34 @@ func TestResumeCrossEngine(t *testing.T) {
 		Warmup:    5_000,
 		Measure:   20_000,
 	}
+	want := cycleOracle(t, cfg, nil, 0, nil)
 	for _, dir := range []struct {
-		name     string
-		from, to Engine
+		name       string
+		checkpoint func(t *testing.T, sink Checkpointer)
+		resume     func(t *testing.T, data []byte) Result
 	}{
-		{"event_to_cycle", EngineEvent, EngineCycle},
-		{"cycle_to_event", EngineCycle, EngineEvent},
-	} {
-		dir := dir
-		t.Run(dir.name, func(t *testing.T) {
-			cfgFrom, cfgTo := base, base
-			cfgFrom.Engine, cfgTo.Engine = dir.from, dir.to
-			want, err := Run(cfgTo)
-			if err != nil {
-				t.Fatalf("cold %v run: %v", dir.to, err)
-			}
-			var snaps [][]byte
-			if _, err := RunWithCheckpoints(cfgFrom, 8_000, func(_ int64, d []byte) {
-				snaps = append(snaps, d)
-			}); err != nil {
-				t.Fatalf("checkpointed %v run: %v", dir.from, err)
-			}
-			for i, data := range snaps {
-				got, err := ResumeRun(cfgTo, data, 0, nil)
-				if err != nil {
-					t.Fatalf("resume %d: %v", i, err)
+		{"event_to_cycle",
+			func(t *testing.T, sink Checkpointer) {
+				if _, err := RunWithCheckpoints(cfg, 8_000, sink); err != nil {
+					t.Fatalf("checkpointed run: %v", err)
 				}
-				want.SteppedCycles, got.SteppedCycles = 0, 0
-				if !reflect.DeepEqual(want, got) {
+			},
+			func(t *testing.T, data []byte) Result { return cycleOracle(t, cfg, data, 0, nil) }},
+		{"cycle_to_event",
+			func(t *testing.T, sink Checkpointer) { cycleOracle(t, cfg, nil, 8_000, sink) },
+			func(t *testing.T, data []byte) Result {
+				res, err := ResumeRun(cfg, data, 0, nil)
+				if err != nil {
+					t.Fatalf("resume: %v", err)
+				}
+				return res
+			}},
+	} {
+		t.Run(dir.name, func(t *testing.T) {
+			var snaps [][]byte
+			dir.checkpoint(t, func(_ int64, d []byte) { snaps = append(snaps, d) })
+			for i, data := range snaps {
+				if got := dir.resume(t, data); !sameModel(want, got) {
 					t.Errorf("%s: resume %d diverged:\n cold:    %+v\n resumed: %+v",
 						dir.name, i, want, got)
 				}
@@ -261,7 +272,7 @@ func TestResumeCheckpointChainEquality(t *testing.T) {
 }
 
 // TestResumeFuzzRandomCycle snapshots at a random mid-measure cycle
-// (exercising arbitrary engine positions, blind windows included) by
+// (exercising arbitrary run-loop positions, blind windows included) by
 // scheduling a one-off checkpoint there, then diffs the resumed Result
 // against the cold run's.
 func TestResumeFuzzRandomCycle(t *testing.T) {
@@ -289,7 +300,7 @@ func TestResumeFuzzRandomCycle(t *testing.T) {
 			Measure:   20_000,
 		}
 		// A prime-ish random interval puts the first mid-measure checkpoint
-		// at an arbitrary engine position.
+		// at an arbitrary run-loop position.
 		every := 3_000 + rng.Int63n(9_000)
 		name := fmt.Sprintf("draw%d_%s_%s_seed%d_every%d", i, k, wl.Name, seed, every)
 		t.Run(name, func(t *testing.T) {
