@@ -1,7 +1,10 @@
 package cache
 
 import (
+	"errors"
 	"testing"
+
+	"dsarp/internal/snap"
 )
 
 // fakeBackend records traffic and completes reads on demand.
@@ -212,4 +215,59 @@ func TestBadConfigPanics(t *testing.T) {
 		}
 	}()
 	NewSlice(Config{SizeBytes: 192, Ways: 1, LineBytes: 64, HitLatency: 1}, &fakeBackend{})
+}
+
+// TestLoadStateBoundsCounts feeds a slice sealed snapshots whose list
+// counts are hostile. Each must fail promptly: an unbounded loader would
+// append zeros until the process ran out of memory.
+func TestLoadStateBoundsCounts(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tail func(w *snap.Writer) // everything after the tag store
+	}{
+		{"pending writebacks", func(w *snap.Writer) { w.Int(1 << 40) }},
+		{"negative writebacks", func(w *snap.Writer) { w.Int(-1) }},
+		{"hit deliveries", func(w *snap.Writer) { w.Int(0); w.Int(1 << 40) }},
+		{"mshr chain", func(w *snap.Writer) { w.Int(0); w.Int(0); w.Int(1 << 40) }},
+		{"mshr waiters", func(w *snap.Writer) {
+			w.Int(0)
+			w.Int(0)
+			w.Int(1)
+			w.U64(0)
+			w.Bool(false)
+			w.Int(1 << 40)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, _ := newSlice()
+			w := snap.NewWriter()
+			w.Section("slice")
+			for i := 0; i < 6; i++ { // LRU clock and stats
+				w.I64(0)
+			}
+			for _, set := range s.sets {
+				w.U64(0) // mru
+				for range set {
+					w.U64(0)
+					w.Bool(false)
+					w.Bool(false)
+					w.I64(0)
+				}
+			}
+			tc.tail(w)
+			r, err := snap.NewReader(w.Finish())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Section("slice"); err != nil {
+				t.Fatal(err)
+			}
+			noCore := func(uint64) (func(int64), error) { return nil, errors.New("no core") }
+			if err := s.LoadState(r, noCore); err == nil {
+				t.Error("hostile count accepted")
+			} else {
+				t.Log(err)
+			}
+		})
+	}
 }

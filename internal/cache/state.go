@@ -78,16 +78,19 @@ func (s *Slice) LoadState(r *snap.Reader, resolve func(tag uint64) (func(now int
 			set[i].used = r.I64()
 		}
 	}
+	// The lists below have no configured capacity (a rejected writeback
+	// waits for as long as the controller's write queue stays full), so
+	// each count is bounded by the section bytes its records would need.
 	s.pendingWB = s.pendingWB[:0]
 	s.wbHead = 0
-	for n := r.Int(); n > 0; n-- {
+	for n := r.Count(math.MaxInt, 8); n > 0; n-- {
 		s.pendingWB = append(s.pendingWB, r.U64())
 	}
 	s.hits = s.hits[:0]
 	s.hitHead = 0
-	nHits := r.Int()
+	nHits := r.Count(math.MaxInt, 16)
 	if err := r.Err(); err != nil {
-		return err
+		return fmt.Errorf("cache: pending lists: %w", err)
 	}
 	for i := 0; i < nHits; i++ {
 		h := hitDelivery{at: r.I64(), tag: r.U64()}
@@ -108,17 +111,17 @@ func (s *Slice) LoadState(r *snap.Reader, resolve func(tag uint64) (func(now int
 	s.free = nil
 	for si := range s.mshr {
 		s.mshr[si] = nil
-		n := r.Int()
+		n := r.Count(math.MaxInt, 17)
 		if err := r.Err(); err != nil {
-			return err
+			return fmt.Errorf("cache: mshr chain: %w", err)
 		}
 		var tail *mshrEntry
 		for i := 0; i < n; i++ {
 			e := &mshrEntry{lineAddr: r.U64(), dirty: r.Bool()}
 			e.onFill = func(at int64) { s.fill(at, e) }
-			nw := r.Int()
+			nw := r.Count(math.MaxInt, 8)
 			if err := r.Err(); err != nil {
-				return err
+				return fmt.Errorf("cache: mshr waiters: %w", err)
 			}
 			for j := 0; j < nw; j++ {
 				wt := waiter{tag: r.U64()}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand/v2"
 
 	"dsarp/internal/dram"
 	"dsarp/internal/sched"
@@ -33,7 +34,8 @@ type DARP struct {
 	// through the interface.
 	ctl    *sched.Controller
 	opts   DARPOptions
-	rng    *snap.Rand // counts its draws so snapshots can replay the stream
+	src    *rand.PCG // rng's state: what a snapshot saves and restores
+	rng    *rand.Rand
 	scheds []*bankSchedule
 	forced [][]bool // rank x bank: refresh overdue, demand held
 	slotAt []int64  // per rank: start of the next unobserved tREFIpb slot
@@ -89,13 +91,15 @@ type DARPOptions struct {
 func NewDARP(v sched.View, opts DARPOptions, seed int64) *DARP {
 	g := v.Dev().Geometry()
 	ctl, _ := v.(*sched.Controller)
+	src := snap.NewPCG(seed)
 	p := &DARP{
 		v:      v,
 		dev:    v.Dev(),
 		slab:   v.PendingDemandSlab(),
 		ctl:    ctl,
 		opts:   opts,
-		rng:    snap.NewRand(seed),
+		src:    src,
+		rng:    rand.New(src),
 		scheds: make([]*bankSchedule, g.Ranks),
 		forced: make([][]bool, g.Ranks),
 		slotAt: make([]int64, g.Ranks),
@@ -386,7 +390,7 @@ func (p *DARP) Skip(from, to int64) {
 	for u := from; u < to; u++ {
 		for _, elig := range p.eligList {
 			if len(elig) > 0 {
-				p.rng.Intn(len(elig))
+				p.rng.IntN(len(elig))
 			}
 		}
 	}
@@ -462,7 +466,7 @@ func (p *DARP) pickWriteModeBank(rank int, now int64) (int, bool) {
 		if len(elig) == 0 {
 			return 0, false
 		}
-		return elig[p.rng.Intn(len(elig))], true
+		return elig[p.rng.IntN(len(elig))], true
 	}
 	best, bestPending, found := 0, 0, false
 	slab := p.slab
@@ -505,7 +509,7 @@ func (p *DARP) pickIdleBank(rank int, now int64) (int, bool) {
 		}
 		return best, true
 	}
-	return elig[p.rng.Intn(len(elig))], true
+	return elig[p.rng.IntN(len(elig))], true
 }
 
 // Owed exposes a bank's current refresh debt (tests and diagnostics).

@@ -6,8 +6,8 @@ import (
 
 // This file implements snap.Codec for every refresh policy. A policy
 // serializes only what its constructor cannot rederive: timer positions,
-// postponement debt, forced/blocked flags, and (for DARP) the rng draw
-// count and per-bank issue counters. Derived caches — DARP's pull-in
+// postponement debt, forced/blocked flags, and (for DARP) the rng's PCG
+// state and per-bank issue counters. Derived caches — DARP's pull-in
 // eligibility lists and write-mode pick bounds — are dropped on restore:
 // rebuilding them is exact, draws no randomness, and feeds no NextDeadline
 // answer, so a restored run re-derives identical values. LoadState never
@@ -135,7 +135,7 @@ func (p *Pausing) LoadState(r *snap.Reader) error {
 // are functions of the issue counters and the construction-time phases, so
 // only the counters travel; LoadState rederives the thresholds.
 func (p *DARP) AppendState(w *snap.Writer) {
-	w.U64(p.rng.Draws())
+	w.PCG(p.src)
 	for _, sch := range p.scheds {
 		appendI64s(w, sch.issued)
 	}
@@ -147,7 +147,7 @@ func (p *DARP) AppendState(w *snap.Writer) {
 
 // LoadState implements snap.Codec.
 func (p *DARP) LoadState(r *snap.Reader) error {
-	p.rng.Restore(r.U64())
+	r.PCG(p.src)
 	for _, sch := range p.scheds {
 		loadI64s(r, sch.issued)
 		for b := range sch.issued {

@@ -53,14 +53,11 @@ func (c *Core) LoadState(r *snap.Reader) error {
 	c.next.Addr = r.U64()
 	c.next.Write = r.Bool()
 	c.nextPos = r.I64()
-	n := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
 	// The list holds completed-but-unretired loads too (retirement is in
 	// order), so it is bounded by the instruction window, not the MSHRs.
-	if n < 0 || n > c.cfg.Window {
-		return fmt.Errorf("cpu: snapshot has %d in-flight loads, window is %d", n, c.cfg.Window)
+	n := r.Count(c.cfg.Window, 9)
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("cpu: in-flight loads: %w", err)
 	}
 	c.loads = c.loads[:0]
 	c.loadHead = 0

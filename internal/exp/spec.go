@@ -23,7 +23,7 @@ import (
 // stale results; pure optimizations pinned bit-exact by the golden tests
 // keep it. The golden tables in parallel_test.go are the check: if they
 // need regenerating, this needs bumping.
-const SchemaVersion = "dsarp-sim-v2"
+const SchemaVersion = "dsarp-sim-v3"
 
 // SimSpec is a fully-resolved, JSON-round-trippable description of one
 // simulation: everything that determines its Result, and nothing else. It

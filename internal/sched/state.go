@@ -96,10 +96,15 @@ func appendReqList(w *snap.Writer, reqs []*Request) {
 // callback; sim provides one closing over the restored cache slices.
 type Resolver func(core int, tag uint64) (func(now int64), error)
 
-func loadReqList(r *snap.Reader, resolve Resolver) ([]*Request, error) {
-	n := r.Int()
+// reqBytes is the size of one appendReqList record.
+const reqBytes = 8 + 8 + 1 + 4*8 + 4*8 + 8 + 1
+
+// loadReqList reads a list written by appendReqList; a count above max, or
+// above what the section's remaining bytes could hold, is an error.
+func loadReqList(r *snap.Reader, resolve Resolver, max int) ([]*Request, error) {
+	n := r.Count(max, reqBytes)
 	if err := r.Err(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("sched: request list: %w", err)
 	}
 	reqs := make([]*Request, 0, n)
 	for i := 0; i < n; i++ {
@@ -168,18 +173,19 @@ func (c *Controller) LoadState(r *snap.Reader, resolve Resolver) error {
 	for i := range c.pending.rank {
 		c.pending.rank[i] = 0
 	}
-	if err := c.loadQueue(r, &c.readIx, resolve); err != nil {
+	if err := c.loadQueue(r, &c.readIx, c.cfg.ReadQueueCap, resolve); err != nil {
 		return err
 	}
-	if err := c.loadQueue(r, &c.writeIx, resolve); err != nil {
+	if err := c.loadQueue(r, &c.writeIx, c.cfg.WriteQueueCap, resolve); err != nil {
 		return err
 	}
+	// In-flight reads have no configured cap; the section length bounds them.
 	var err error
-	c.inflightRd, err = loadReqList(r, resolve)
+	c.inflightRd, err = loadReqList(r, resolve, math.MaxInt)
 	if err != nil {
 		return err
 	}
-	c.inflightFwd, err = loadReqList(r, resolve)
+	c.inflightFwd, err = loadReqList(r, resolve, math.MaxInt)
 	if err != nil {
 		return err
 	}
@@ -203,10 +209,12 @@ func (c *Controller) LoadState(r *snap.Reader, resolve Resolver) error {
 	return r.Err()
 }
 
-func (c *Controller) loadQueue(r *snap.Reader, ix *queueIndex, resolve Resolver) error {
-	nb := r.Int()
+// loadQueue replays a queue written by appendQueue into ix, refusing more
+// buckets than the geometry has or more requests than the queue's cap.
+func (c *Controller) loadQueue(r *snap.Reader, ix *queueIndex, qcap int, resolve Resolver) error {
+	nb := r.Count(len(ix.buckets), 16) // a bucket index and a list count
 	if err := r.Err(); err != nil {
-		return err
+		return fmt.Errorf("sched: queue buckets: %w", err)
 	}
 	for i := 0; i < nb; i++ {
 		bi := r.Int()
@@ -216,7 +224,7 @@ func (c *Controller) loadQueue(r *snap.Reader, ix *queueIndex, resolve Resolver)
 		if bi < 0 || bi >= len(ix.buckets) {
 			return fmt.Errorf("sched: snapshot bucket %d out of range", bi)
 		}
-		reqs, err := loadReqList(r, resolve)
+		reqs, err := loadReqList(r, resolve, qcap-ix.n)
 		if err != nil {
 			return err
 		}

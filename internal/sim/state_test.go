@@ -2,11 +2,14 @@ package sim
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dsarp/internal/core"
@@ -356,6 +359,87 @@ func TestRestoreRefusesMismatch(t *testing.T) {
 	wrongShape.Channels = 1
 	if _, err := RestoreSystem(wrongShape, boundary); err == nil {
 		t.Error("wrong-shape config must be refused")
+	}
+}
+
+// patchSection overwrites len(v) bytes of the named section's body at off
+// (counted from the body's end when negative) and reseals the payload
+// hash, as any peer can: the seal is unkeyed.
+func patchSection(t *testing.T, data []byte, name string, off int, v []byte) []byte {
+	t.Helper()
+	out := append([]byte(nil), data...)
+	hdr := len("DSNAP") + 8 + len(snap.Version) + 8
+	payload := out[hdr+32:]
+	for p := 0; p < len(payload); {
+		n := int(binary.LittleEndian.Uint64(payload[p:]))
+		body := int(binary.LittleEndian.Uint64(payload[p+8+n:]))
+		start := p + 16 + n
+		if string(payload[p+8:p+8+n]) == name {
+			if off < 0 {
+				off += body
+			}
+			copy(payload[start+off:start+off+len(v)], v)
+			sum := sha256.Sum256(payload)
+			copy(out[hdr:], sum[:])
+			return out
+		}
+		p = start + body
+	}
+	t.Fatalf("snapshot has no section %q", name)
+	return nil
+}
+
+// TestRestoreRejectsHostileSnapshot resealed snapshots carrying a
+// malformed rng state or a hostile list count must fail to restore
+// promptly, whichever component holds the field.
+func TestRestoreRejectsHostileSnapshot(t *testing.T) {
+	cfg := Config{
+		Workload:  smallWorkload(),
+		Mechanism: core.KindDSARP,
+		Density:   timing.Gb32,
+		Seed:      3,
+		Warmup:    4_000,
+		Measure:   4_000,
+	}.WithDefaults()
+	s, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.RunTo(cfg.Warmup)
+	data := s.Snapshot()
+	if _, err := RestoreSystem(cfg, data); err != nil {
+		t.Fatalf("clean restore failed: %v", err)
+	}
+
+	huge := binary.LittleEndian.AppendUint64(nil, 1<<40)
+	short := binary.LittleEndian.AppendUint64(nil, 19)
+	sets := cfg.Cache.SizeBytes / (cfg.Cache.Ways * cfg.Cache.LineBytes)
+	for _, tc := range []struct {
+		name, section string
+		off           int
+		v             []byte
+		want          string // in the error: the field the loader refused
+	}{
+		// The trace generator's state closes each core section: the rng
+		// blob (8-byte length + 20 bytes) then four 8-byte cursors.
+		{"trace rng prefix", "core0", -52, []byte("pcx:"), "rng state"},
+		{"trace rng length", "core0", -60, short, "rng state"},
+		// DARP's rng blob opens its policy section.
+		{"darp rng prefix", "policy0", 8, []byte("pcx:"), "rng state"},
+		// The read queue's bucket count follows 9 header fields (58 bytes)
+		// and 13 stats.
+		{"queue buckets", "ctrl0", 58 + 13*8, huge, "queue buckets"},
+		// The pending-writeback count follows the LRU clock, 5 stats and
+		// the tag store (per set: mru + ways x 18-byte lines).
+		{"pending writebacks", "slice0", 6*8 + sets*(8+cfg.Cache.Ways*18), huge, "pending lists"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := patchSection(t, data, tc.section, tc.off, tc.v)
+			_, err := RestoreSystem(cfg, bad)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("restore error %v, want one naming %q", err, tc.want)
+			}
+		})
 	}
 }
 

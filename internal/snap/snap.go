@@ -21,7 +21,7 @@ import (
 // snapshot layout change must not invalidate served results. Restoring a
 // snapshot with a mismatched version is refused — the run recomputes from
 // cycle 0 instead.
-const Version = "dsarp-snap-v2"
+const Version = "dsarp-snap-v3"
 
 // magic leads every snapshot so a snapshot can never be confused with a
 // store result envelope or any other artifact.
@@ -205,15 +205,19 @@ func (r *Reader) Section(name string) error {
 	return nil
 }
 
+// left reports the bytes remaining in the current section (or payload).
+func (r *Reader) left() int {
+	if r.secEnd >= 0 {
+		return r.secEnd - r.off
+	}
+	return len(r.buf) - r.off
+}
+
 func (r *Reader) take(n int) []byte {
 	if r.err != nil {
 		return nil
 	}
-	end := len(r.buf)
-	if r.secEnd >= 0 {
-		end = r.secEnd
-	}
-	if n > end-r.off {
+	if n > r.left() {
 		r.fail(errors.New("snap: read past end of section"))
 		return nil
 	}
@@ -236,6 +240,26 @@ func (r *Reader) I64() int64 { return int64(r.U64()) }
 
 // Int reads an int written by Writer.Int.
 func (r *Reader) Int() int { return int(r.I64()) }
+
+// Count reads an element count written by Writer.Int. A count that is
+// negative, above max, or more than the rest of the section could hold
+// at elemBytes per element is a sticky error and reads as 0, so callers
+// may size allocations and loops from the result.
+func (r *Reader) Count(max, elemBytes int) int {
+	n := r.Int()
+	if r.err != nil {
+		return 0
+	}
+	switch {
+	case n < 0 || n > max:
+		r.fail(fmt.Errorf("snap: count %d outside [0, %d]", n, max))
+	case n > r.left()/elemBytes:
+		r.fail(fmt.Errorf("snap: count %d overruns the %d bytes left in the section", n, r.left()))
+	default:
+		return n
+	}
+	return 0
+}
 
 // Bool reads a boolean.
 func (r *Reader) Bool() bool {
@@ -260,11 +284,7 @@ func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 // Str reads a length-prefixed string.
 func (r *Reader) Str() string {
 	n := r.U64()
-	end := len(r.buf)
-	if r.secEnd >= 0 {
-		end = r.secEnd
-	}
-	if r.err == nil && n > uint64(end-r.off) {
+	if r.err == nil && n > uint64(r.left()) {
 		r.fail(errors.New("snap: string overruns section"))
 	}
 	b := r.take(int(n))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"math/bits"
 	"testing"
 )
 
@@ -164,39 +165,53 @@ func TestInvalidBool(t *testing.T) {
 	}
 }
 
-func TestCountingRand(t *testing.T) {
-	a := NewRand(1234)
-	for i := 0; i < 1000; i++ {
-		switch i % 3 {
-		case 0:
-			a.Intn(17)
-		case 1:
-			a.Float64()
-		case 2:
-			a.Uint64()
+func TestReaderCount(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		n     int
+		elems int // 8-byte elements actually following the count
+		max   int
+		ok    bool
+	}{
+		{"fits", 3, 3, 4, true},
+		{"zero", 0, 0, 4, true},
+		{"negative", -1, 0, 4, false},
+		{"above max", 5, 5, 4, false},
+		{"overruns section", 1 << 40, 2, math.MaxInt, false},
+	} {
+		w := NewWriter()
+		w.Section("s")
+		w.Int(tc.n)
+		for i := 0; i < tc.elems; i++ {
+			w.U64(uint64(i))
 		}
-	}
-	draws := a.Draws()
-	next := []int{a.Intn(1000), a.Intn(1000), a.Intn(1000)}
-
-	b := NewRand(1234)
-	b.Restore(draws)
-	if b.Draws() != draws {
-		t.Fatalf("restored draw count %d, want %d", b.Draws(), draws)
-	}
-	for i, want := range next {
-		if got := b.Intn(1000); got != want {
-			t.Fatalf("draw %d after restore = %d, want %d", i, got, want)
+		r, err := NewReader(w.Finish())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Section("s"); err != nil {
+			t.Fatal(err)
+		}
+		got := r.Count(tc.max, 8)
+		if tc.ok && (r.Err() != nil || got != tc.n) {
+			t.Errorf("%s: Count = %d, err %v; want %d", tc.name, got, r.Err(), tc.n)
+		}
+		if !tc.ok && (r.Err() == nil || got != 0) {
+			t.Errorf("%s: Count = %d accepted", tc.name, got)
 		}
 	}
 }
 
-func TestCountingRandInPlace(t *testing.T) {
-	a := NewRand(9)
-	inner := a.Rand // the embedded *rand.Rand must stay valid across Restore
-	a.Intn(100)
-	a.Restore(a.Draws())
-	if a.Rand != inner {
-		t.Error("Restore replaced the embedded rand.Rand")
+// TestNewPCGAdjacentSeeds guards the seed mix: sim seeds core i with
+// Seed*1_000_003+i, so adjacent seeds must not start in adjacent states.
+func TestNewPCGAdjacentSeeds(t *testing.T) {
+	a, _ := NewPCG(41).MarshalBinary()
+	b, _ := NewPCG(42).MarshalBinary()
+	diff := 0
+	for i := range a {
+		diff += bits.OnesCount8(a[i] ^ b[i])
+	}
+	if diff < 32 {
+		t.Errorf("seeds 41 and 42 start %d state bits apart, want a full avalanche", diff)
 	}
 }

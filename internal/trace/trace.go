@@ -19,7 +19,7 @@ package trace
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 
 	"dsarp/internal/snap"
 )
@@ -115,11 +115,13 @@ func (p Profile) Intensive() bool { return p.MPKI >= 10 }
 // lineBytes matches the LLC/DRAM line size.
 const lineBytes = 64
 
-// gen implements Generator for a Profile. Its rng is a counted source so
-// the stream position serializes as a single draw count (snap.Rand).
+// gen implements Generator for a Profile. rng (and zipf, which draws from
+// it) is backed by src, whose 128-bit PCG state is the whole stream
+// position a snapshot needs.
 type gen struct {
 	p     Profile
-	rng   *snap.Rand
+	src   *rand.PCG
+	rng   *rand.Rand
 	zipf  *rand.Zipf
 	lines uint64
 
@@ -154,10 +156,11 @@ func New(p Profile, seed int64) Generator {
 	if p.Pattern == Chase {
 		p.MLPBurst = 1
 	}
-	rng := snap.NewRand(seed)
+	src := snap.NewPCG(seed)
 	g := &gen{
 		p:       p,
-		rng:     rng,
+		src:     src,
+		rng:     rand.New(src),
 		lines:   lines,
 		meanGap: 1000 / p.APKI,
 	}
@@ -172,7 +175,7 @@ func New(p Profile, seed int64) Generator {
 		// have reuse, flat enough that the hot set exceeds an LLC slice
 		// (s=1.2 concentrates so hard the whole hot set caches and the
 		// nominal MPKI never materializes).
-		g.zipf = rand.NewZipf(rng.Rand, 1.02, 8, lines-1)
+		g.zipf = rand.NewZipf(g.rng, 1.02, 8, lines-1)
 	}
 	return g
 }
@@ -180,20 +183,21 @@ func New(p Profile, seed int64) Generator {
 // Name implements Generator.
 func (g *gen) Name() string { return g.p.Name }
 
-// AppendState implements snap.Codec: the stream position is the raw rng
-// draw count plus the walk/run/gap cursors. Everything else in gen is
-// derived from the profile at construction.
+// AppendState implements snap.Codec: the stream position is the PCG state
+// plus the walk/run/gap cursors. Everything else in gen is derived from
+// the profile at construction.
 func (g *gen) AppendState(w *snap.Writer) {
-	w.U64(g.rng.Draws())
+	w.PCG(g.src)
 	w.U64(g.pos)
 	w.Int(g.burst)
 	w.U64(g.baseRun)
 	w.Int(g.gapLeft)
 }
 
-// LoadState implements snap.Codec.
+// LoadState implements snap.Codec. The PCG state loads in place, so rng
+// and zipf keep drawing from it.
 func (g *gen) LoadState(r *snap.Reader) error {
-	g.rng.Restore(r.U64())
+	r.PCG(g.src)
 	g.pos = r.U64()
 	g.burst = r.Int()
 	g.baseRun = r.U64()

@@ -1,8 +1,11 @@
 package trace
 
 import (
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
+
+	"dsarp/internal/snap"
 )
 
 func prof(p Pattern) Profile {
@@ -186,5 +189,89 @@ func TestIntensiveClassification(t *testing.T) {
 	}
 	if (Profile{MPKI: 9.9}).Intensive() {
 		t.Error("MPKI 9.9 must classify non-intensive")
+	}
+}
+
+// sealGen snapshots a generator section whose rng field is blob and whose
+// cursors are zero, the way a peer holding the unkeyed seal could.
+func sealGen(t *testing.T, blob string) *snap.Reader {
+	t.Helper()
+	w := snap.NewWriter()
+	w.Section("gen")
+	w.Str(blob)
+	w.U64(0)
+	w.Int(0)
+	w.U64(0)
+	w.Int(0)
+	r, err := snap.NewReader(w.Finish())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Section("gen"); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+func TestLoadStateRNGMalformed(t *testing.T) {
+	good, _ := rand.NewPCG(1, 2).MarshalBinary()
+	for name, blob := range map[string]string{
+		"short":  string(good[:19]),
+		"long":   string(good) + "x",
+		"prefix": "pcx:" + string(good[4:]),
+		"empty":  "",
+	} {
+		g := New(prof(Zipf), 1).(*gen)
+		if err := g.LoadState(sealGen(t, blob)); err == nil {
+			t.Errorf("%s rng blob accepted", name)
+		}
+	}
+}
+
+// TestLoadStateRNGArbitraryState loads a PCG state no seed is known to
+// reach: restore is a copy of the 128-bit state, not a replay from a seed.
+func TestLoadStateRNGArbitraryState(t *testing.T) {
+	want := rand.NewPCG(0xffff_ffff_ffff_fffe, 0x0123_4567_89ab_cdef)
+	blob, _ := want.MarshalBinary()
+	g := New(prof(Random), 1).(*gen)
+	if err := g.LoadState(sealGen(t, string(blob))); err != nil {
+		t.Fatal(err)
+	}
+	ref := rand.New(want)
+	for i := 0; i < 100; i++ {
+		if got, w := g.rng.Uint64(), ref.Uint64(); got != w {
+			t.Fatalf("draw %d after restore = %#x, want %#x", i, got, w)
+		}
+	}
+}
+
+// TestLoadStateRNGMidStream snapshots a generator mid-stream and restores
+// it into one built from another seed: the restored stream must continue
+// draw for draw, Zipf sampler included.
+func TestLoadStateRNGMidStream(t *testing.T) {
+	for _, p := range []Pattern{Random, Zipf, Chase} {
+		a := New(prof(p), 42)
+		for i := 0; i < 5000; i++ {
+			a.Next()
+		}
+		w := snap.NewWriter()
+		w.Section("gen")
+		a.(snap.Codec).AppendState(w)
+		r, err := snap.NewReader(w.Finish())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Section("gen"); err != nil {
+			t.Fatal(err)
+		}
+		b := New(prof(p), 7)
+		if err := b.(snap.Codec).LoadState(r); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 5000; i++ {
+			if x, y := a.Next(), b.Next(); x != y {
+				t.Fatalf("%v: access %d after restore = %+v, want %+v", p, i, y, x)
+			}
+		}
 	}
 }
