@@ -8,6 +8,7 @@
 package dsarp
 
 import (
+	"fmt"
 	"testing"
 
 	"dsarp/internal/core"
@@ -34,10 +35,25 @@ func benchOpts() exp.Options {
 	}
 }
 
+// runAs runs a registry experiment end to end on r and type-asserts its
+// rendered result, so a benchmark can report the artifact's fields.
+func runAs[T fmt.Stringer](b *testing.B, r *exp.Runner, name string) T {
+	b.Helper()
+	out, err := r.RunExperiment(name)
+	if err != nil {
+		b.Fatalf("%s: %v", name, err)
+	}
+	v, ok := out.(T)
+	if !ok {
+		b.Fatalf("%s: result is %T", name, out)
+	}
+	return v
+}
+
 func BenchmarkFig5_TRFCabTrend(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := exp.NewRunner(benchOpts())
-		f := r.Fig5()
+		f := runAs[exp.Fig5Result](b, r, "fig5")
 		last := f.Points[len(f.Points)-1]
 		b.ReportMetric(last.Projection2, "ns@64Gb")
 		if i == 0 {
@@ -49,7 +65,7 @@ func BenchmarkFig5_TRFCabTrend(b *testing.B) {
 func BenchmarkFig6_RefabPerfLoss(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := exp.NewRunner(benchOpts())
-		f := r.Fig6()
+		f := runAs[exp.Fig6Result](b, r, "fig6")
 		b.ReportMetric(f.Rows[len(f.Rows)-1].Overall, "loss%@32Gb")
 		if i == 0 {
 			b.Log("\n" + f.String())
@@ -60,7 +76,7 @@ func BenchmarkFig6_RefabPerfLoss(b *testing.B) {
 func BenchmarkFig7_RefabVsRefpb(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := exp.NewRunner(benchOpts())
-		f := r.Fig7()
+		f := runAs[exp.Fig7Result](b, r, "fig7")
 		b.ReportMetric(f.LossAB[len(f.LossAB)-1], "ab_loss%@32Gb")
 		b.ReportMetric(f.LossPB[len(f.LossPB)-1], "pb_loss%@32Gb")
 		if i == 0 {
@@ -71,8 +87,10 @@ func BenchmarkFig7_RefabVsRefpb(b *testing.B) {
 
 func BenchmarkFig12_SortedCurves(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := exp.NewRunner(benchOpts())
-		f := r.Fig12(timing.Gb32)
+		opts := benchOpts()
+		opts.Densities = []timing.Density{timing.Gb32}
+		r := exp.NewRunner(opts)
+		f := runAs[exp.Fig12Set](b, r, "fig12").Figs[0]
 		best := f.Curves[len(f.Curves)-1].Norm[core.KindDSARP]
 		b.ReportMetric((best-1)*100, "best_dsarp%")
 		if i == 0 {
@@ -84,7 +102,7 @@ func BenchmarkFig12_SortedCurves(b *testing.B) {
 func BenchmarkTable2_Improvements(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := exp.NewRunner(benchOpts())
-		t := r.Table2()
+		t := runAs[exp.Table2Result](b, r, "table2")
 		last := t.Rows[len(t.Rows)-1] // DSARP at the highest density
 		b.ReportMetric(last.GmeanAB, "dsarp_gmean%_vs_ab")
 		b.ReportMetric(last.GmeanPB, "dsarp_gmean%_vs_pb")
@@ -102,7 +120,7 @@ func BenchmarkTable2_Parallel(b *testing.B) {
 		opts := benchOpts()
 		opts.Parallelism = 0 // one worker per CPU
 		r := exp.NewRunner(opts)
-		t := r.Table2()
+		t := runAs[exp.Table2Result](b, r, "table2")
 		last := t.Rows[len(t.Rows)-1]
 		b.ReportMetric(last.GmeanAB, "dsarp_gmean%_vs_ab")
 		if i == 0 {
@@ -114,7 +132,7 @@ func BenchmarkTable2_Parallel(b *testing.B) {
 func BenchmarkFig13_AllMechanisms(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := exp.NewRunner(benchOpts())
-		f := r.Fig13()
+		f := runAs[exp.Fig13Result](b, r, "fig13")
 		last := len(f.Densities) - 1
 		b.ReportMetric(f.Improve[core.KindDSARP][last], "dsarp%@32Gb")
 		b.ReportMetric(f.Improve[core.KindNoRef][last], "noref%@32Gb")
@@ -127,7 +145,7 @@ func BenchmarkFig13_AllMechanisms(b *testing.B) {
 func BenchmarkDARPBreakdown(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := exp.NewRunner(benchOpts())
-		t := r.DARPBreakdown()
+		t := runAs[exp.BreakdownResult](b, r, "breakdown")
 		last := t.Rows[len(t.Rows)-1]
 		b.ReportMetric(last.OoOGmean, "ooo%@32Gb")
 		b.ReportMetric(last.WRGmean, "wr_extra%@32Gb")
@@ -140,7 +158,7 @@ func BenchmarkDARPBreakdown(b *testing.B) {
 func BenchmarkFig14_Energy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := exp.NewRunner(benchOpts())
-		f := r.Fig14()
+		f := runAs[exp.Fig14Result](b, r, "fig14")
 		b.ReportMetric(f.DSARPReduction[len(f.DSARPReduction)-1], "dsarp_epa_red%@32Gb")
 		if i == 0 {
 			b.Log("\n" + f.String())
@@ -151,7 +169,7 @@ func BenchmarkFig14_Energy(b *testing.B) {
 func BenchmarkFig15_Intensity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := exp.NewRunner(benchOpts())
-		f := r.Fig15()
+		f := runAs[exp.Fig15Result](b, r, "fig15")
 		last := len(f.Densities) - 1
 		b.ReportMetric(f.OverAB[100][last], "dsarp%_cat100_vs_ab")
 		if i == 0 {
@@ -163,7 +181,7 @@ func BenchmarkFig15_Intensity(b *testing.B) {
 func BenchmarkTable3_CoreCount(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := exp.NewRunner(benchOpts())
-		t := r.Table3()
+		t := runAs[exp.Table3Result](b, r, "table3")
 		b.ReportMetric(t.Rows[len(t.Rows)-1].WSImprove, "ws%@8core")
 		if i == 0 {
 			b.Log("\n" + t.String())
@@ -174,7 +192,7 @@ func BenchmarkTable3_CoreCount(b *testing.B) {
 func BenchmarkTable4_TFAW(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := exp.NewRunner(benchOpts())
-		t := r.Table4()
+		t := runAs[exp.Table4Result](b, r, "table4")
 		b.ReportMetric(t.Improve[0], "sarp%_tfaw5")
 		b.ReportMetric(t.Improve[len(t.Improve)-1], "sarp%_tfaw30")
 		if i == 0 {
@@ -186,7 +204,7 @@ func BenchmarkTable4_TFAW(b *testing.B) {
 func BenchmarkTable5_Subarrays(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := exp.NewRunner(benchOpts())
-		t := r.Table5()
+		t := runAs[exp.Table5Result](b, r, "table5")
 		b.ReportMetric(t.Improve[0], "sarp%_1sub")
 		b.ReportMetric(t.Improve[len(t.Improve)-1], "sarp%_64sub")
 		if i == 0 {
@@ -198,7 +216,7 @@ func BenchmarkTable5_Subarrays(b *testing.B) {
 func BenchmarkTable6_Retention64(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := exp.NewRunner(benchOpts())
-		t := r.Table6()
+		t := runAs[exp.Table6Result](b, r, "table6")
 		b.ReportMetric(t.Rows[len(t.Rows)-1].GmeanAB, "dsarp_gmean%_vs_ab")
 		if i == 0 {
 			b.Log("\n" + t.String())
@@ -209,7 +227,7 @@ func BenchmarkTable6_Retention64(b *testing.B) {
 func BenchmarkFig16_FGR(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := exp.NewRunner(benchOpts())
-		f := r.Fig16()
+		f := runAs[exp.Fig16Result](b, r, "fig16")
 		last := len(f.Densities) - 1
 		b.ReportMetric(f.Norm[core.KindFGR4x][last], "fgr4x_norm@32Gb")
 		b.ReportMetric(f.Norm[core.KindDSARP][last], "dsarp_norm@32Gb")
@@ -275,7 +293,7 @@ func BenchmarkSaturated(b *testing.B) {
 func BenchmarkAblations(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := exp.NewRunner(benchOpts())
-		a := r.Ablations()
+		a := runAs[exp.AblationResult](b, r, "ablations")
 		if i == 0 {
 			b.Log("\n" + a.String())
 		}

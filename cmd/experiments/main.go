@@ -99,7 +99,7 @@ func mainImpl() int {
 		opts.Store = st
 	}
 	if *verbose {
-		opts.Progress = func(done, _ int, label string) {
+		opts.Progress = func(done int, label string) {
 			fmt.Fprintf(os.Stderr, "[%4d] %s\n", done, label)
 		}
 	}

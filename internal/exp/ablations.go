@@ -93,17 +93,6 @@ func assembleAblations(r *Runner, res Results) AblationResult {
 	return out
 }
 
-func assembleAblationsAny(r *Runner, res Results) fmt.Stringer { return assembleAblations(r, res) }
-
-// Ablations runs the DESIGN.md §4 ablation studies.
-func (r *Runner) Ablations() AblationResult {
-	res, ok := r.RunAll(ablationSpecs(r))
-	if !ok {
-		return AblationResult{}
-	}
-	return assembleAblations(r, res)
-}
-
 func row(name, desc string, base, variant float64) AblationRow {
 	return AblationRow{
 		Name:        name,

@@ -39,7 +39,10 @@ func (res Results) get(r *Runner, wl workload.Workload, k core.Kind, d timing.De
 	return res.mustGet(r.specFor(wl, k, d, variant))
 }
 
-// aloneIPCs mirrors Runner.aloneIPCs against the result map.
+// aloneIPCs returns a workload's alone-run IPCs, one per core: the
+// single-core, refresh-free runs that normalize weighted speedup.
+// Refresh-free alone IPCs make WS ratios across mechanisms exact (the
+// normalization constant cancels).
 func (res Results) aloneIPCs(r *Runner, wl workload.Workload) []float64 {
 	out := make([]float64, len(wl.Benchmarks))
 	for i, b := range wl.Benchmarks {
@@ -48,13 +51,13 @@ func (res Results) aloneIPCs(r *Runner, wl workload.Workload) []float64 {
 	return out
 }
 
-// ws mirrors Runner.WS against the result map: the weighted speedup of a
-// mechanism on a workload, normalized by the workload's alone runs.
+// ws returns the weighted speedup of a mechanism on a workload,
+// normalized by the workload's alone runs.
 func (res Results) ws(r *Runner, wl workload.Workload, k core.Kind, d timing.Density, variant string) float64 {
 	return metrics.WeightedSpeedup(res.get(r, wl, k, d, variant).IPC, res.aloneIPCs(r, wl))
 }
 
-// wsSeries mirrors Runner.wsSeries against the result map.
+// wsSeries returns ws for every workload in ws, in order.
 func (res Results) wsSeries(r *Runner, ws []workload.Workload, k core.Kind, d timing.Density, variant string) []float64 {
 	out := make([]float64, len(ws))
 	for i := range ws {
@@ -67,7 +70,7 @@ func (res Results) wsSeries(r *Runner, ws []workload.Workload, k core.Kind, d ti
 // figure — in declarative form: a pure enumeration of the simulations it
 // needs and a pure assembly of its rendered result from their outcomes.
 // Between the two sits any execution strategy a caller likes: the runner's
-// local worker pool (the legacy Runner methods), the HTTP sweep machinery
+// local worker pool (RunExperiment), the HTTP sweep machinery
 // (POST /v1/experiments/{name}), or a client splitting the specs across a
 // fleet of dsarpd workers and assembling locally.
 type Experiment struct {
@@ -89,8 +92,8 @@ func (e Experiment) Specs(r *Runner) []SimSpec { return e.specs(r) }
 // Assemble renders the experiment from a result map holding (at least)
 // every spec the experiment enumerates. It runs no simulations; a missing
 // or undecodable result surfaces as an error. The returned value is the
-// same concrete XResult type the corresponding legacy Runner method
-// returns, so String() output is byte-identical across the two paths.
+// experiment's concrete result type (Table2Result, Fig12Set, ...), so
+// callers may type-assert it to read fields.
 func (e Experiment) Assemble(r *Runner, res Results) (out fmt.Stringer, err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -100,25 +103,31 @@ func (e Experiment) Assemble(r *Runner, res Results) (out fmt.Stringer, err erro
 	return e.assemble(r, res), nil
 }
 
+// entry registers an experiment from its typed specs/assemble pair.
+func entry[T fmt.Stringer](name, title string, specs func(*Runner) []SimSpec, assemble func(*Runner, Results) T) Experiment {
+	return Experiment{Name: name, Title: title, specs: specs,
+		assemble: func(r *Runner, res Results) fmt.Stringer { return assemble(r, res) }}
+}
+
 // registry holds every experiment in the canonical presentation order of
 // cmd/experiments (the paper's own ordering of tables and figures).
 var registry = []Experiment{
-	{Name: "fig5", Title: "Fig. 5 — tRFCab scaling trend", specs: fig5Specs, assemble: assembleFig5Any},
-	{Name: "fig6", Title: "Fig. 6 — REFab performance loss by intensity", specs: fig6Specs, assemble: assembleFig6Any},
-	{Name: "fig7", Title: "Fig. 7 — REFab vs REFpb performance loss", specs: fig7Specs, assemble: assembleFig7Any},
-	{Name: "fig12", Title: "Fig. 12 — sorted per-workload improvement curves", specs: fig12AllSpecs, assemble: assembleFig12SetAny},
-	{Name: "table2", Title: "Table 2 — max & gmean WS improvement", specs: table2Specs, assemble: assembleTable2Any},
-	{Name: "fig13", Title: "Fig. 13 — average WS improvement, all mechanisms", specs: fig13Specs, assemble: assembleFig13Any},
-	{Name: "breakdown", Title: "§6.1.2 — DARP component breakdown", specs: breakdownSpecs, assemble: assembleBreakdownAny},
-	{Name: "fig14", Title: "Fig. 14 — DRAM energy per access", specs: fig14Specs, assemble: assembleFig14Any},
-	{Name: "fig15", Title: "Fig. 15 — DSARP improvement by memory intensity", specs: fig15Specs, assemble: assembleFig15Any},
-	{Name: "table3", Title: "Table 3 — core-count sensitivity", specs: table3Specs, assemble: assembleTable3Any},
-	{Name: "table4", Title: "Table 4 — tFAW/tRRD sensitivity", specs: table4Specs, assemble: assembleTable4Any},
-	{Name: "table5", Title: "Table 5 — subarrays-per-bank sensitivity", specs: table5Specs, assemble: assembleTable5Any},
-	{Name: "table6", Title: "Table 6 — DSARP at 64 ms retention", specs: table6Specs, assemble: assembleTable6Any},
-	{Name: "fig16", Title: "Fig. 16 — DDR4 FGR and adaptive refresh", specs: fig16Specs, assemble: assembleFig16Any},
-	{Name: "ablations", Title: "DESIGN.md §4 design-choice ablations", specs: ablationSpecs, assemble: assembleAblationsAny},
-	{Name: "pausing", Title: "Extension — refresh pausing comparison", specs: pausingSpecs, assemble: assemblePausingAny},
+	entry("fig5", "Fig. 5 — tRFCab scaling trend", fig5Specs, assembleFig5),
+	entry("fig6", "Fig. 6 — REFab performance loss by intensity", fig6Specs, assembleFig6),
+	entry("fig7", "Fig. 7 — REFab vs REFpb performance loss", fig7Specs, assembleFig7),
+	entry("fig12", "Fig. 12 — sorted per-workload improvement curves", fig12AllSpecs, assembleFig12Set),
+	entry("table2", "Table 2 — max & gmean WS improvement", table2Specs, assembleTable2),
+	entry("fig13", "Fig. 13 — average WS improvement, all mechanisms", fig13Specs, assembleFig13),
+	entry("breakdown", "§6.1.2 — DARP component breakdown", breakdownSpecs, assembleBreakdown),
+	entry("fig14", "Fig. 14 — DRAM energy per access", fig14Specs, assembleFig14),
+	entry("fig15", "Fig. 15 — DSARP improvement by memory intensity", fig15Specs, assembleFig15),
+	entry("table3", "Table 3 — core-count sensitivity", table3Specs, assembleTable3),
+	entry("table4", "Table 4 — tFAW/tRRD sensitivity", table4Specs, assembleTable4),
+	entry("table5", "Table 5 — subarrays-per-bank sensitivity", table5Specs, assembleTable5),
+	entry("table6", "Table 6 — DSARP at 64 ms retention", table6Specs, assembleTable6),
+	entry("fig16", "Fig. 16 — DDR4 FGR and adaptive refresh", fig16Specs, assembleFig16),
+	entry("ablations", "DESIGN.md §4 design-choice ablations", ablationSpecs, assembleAblations),
+	entry("pausing", "Extension — refresh pausing comparison", pausingSpecs, assemblePausing),
 }
 
 // Experiments returns every registered experiment in canonical order.

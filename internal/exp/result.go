@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 
 	"dsarp/internal/cache"
 	"dsarp/internal/cpu"
@@ -39,6 +40,11 @@ type resultWire struct {
 	CheckErr string `json:"check_err,omitempty"`
 }
 
+// MaxResultBytes bounds one encoded result, and the JSON message carrying
+// it, on every wire: peer fetches and pushes, /v1 request bodies and a
+// fleet worker's /v1/sim reply. Real results are a few KB.
+const MaxResultBytes = 8 << 20
+
 // EncodeResult serializes a simulation result for the store and the wire.
 func EncodeResult(r sim.Result) ([]byte, error) {
 	w := resultWire{
@@ -61,13 +67,25 @@ func EncodeResult(r sim.Result) ([]byte, error) {
 
 // DecodeResult is the inverse of EncodeResult. Unknown fields are an
 // error: a payload written by a different wire format must read as
-// corrupt, not as a silently-partial result.
+// corrupt, not as a silently-partial result. So are bytes after the
+// object, a result with no cores, and per-core series of unequal length:
+// no simulation produces them, and table assembly indexes them in step.
 func DecodeResult(data []byte) (sim.Result, error) {
 	var w resultWire
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&w); err != nil {
 		return sim.Result{}, fmt.Errorf("exp: decode result: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return sim.Result{}, errors.New("exp: decode result: trailing data after the object")
+	}
+	if len(w.IPC) == 0 {
+		return sim.Result{}, errors.New("exp: decode result: no per-core ipc")
+	}
+	if len(w.MPKI) != len(w.IPC) || len(w.Cores) != len(w.IPC) {
+		return sim.Result{}, fmt.Errorf("exp: decode result: per-core lengths differ (ipc %d, mpki %d, cores %d)",
+			len(w.IPC), len(w.MPKI), len(w.Cores))
 	}
 	r := sim.Result{
 		Mechanism:      w.Mechanism,

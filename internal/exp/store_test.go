@@ -25,7 +25,7 @@ func openStore(t *testing.T) *store.Store {
 // byte.
 func TestResultJSONRoundTrip(t *testing.T) {
 	r := NewRunner(tinyOpts())
-	res := r.run(r.Mixes()[0], core.KindDSARP, timing.Gb32, "", nil)
+	res, _ := mustRun(t, r, r.specFor(r.Mixes()[0], core.KindDSARP, timing.Gb32, ""))
 	data, err := EncodeResult(res)
 	if err != nil {
 		t.Fatal(err)
@@ -37,9 +37,57 @@ func TestResultJSONRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(res, back) {
 		t.Errorf("round trip diverged:\n got %+v\nwant %+v", back, res)
 	}
-	if _, err := DecodeResult([]byte(`{"unknown_field":1}`)); err == nil {
-		t.Error("foreign payload decoded without error")
+	for _, row := range hostileResults {
+		if _, err := DecodeResult([]byte(row.data)); err == nil {
+			t.Errorf("%s: %q decoded without error", row.name, row.data)
+		}
 	}
+}
+
+// hostileResults are payloads no simulation writes: DecodeResult must
+// refuse each of them rather than hand table assembly a partial result.
+var hostileResults = []struct{ name, data string }{
+	{"foreign field", `{"unknown_field":1}`},
+	{"null", `null`},
+	{"empty object", `{}`},
+	{"trailing data", `{"ipc":[1],"mpki":[1],"cores":[{}]} trailing`},
+	{"second object", `{"ipc":[1],"mpki":[1],"cores":[{}]}{}`},
+	{"empty ipc", `{"ipc":[],"mpki":[],"cores":[]}`},
+	{"short mpki", `{"ipc":[1,2],"mpki":[1],"cores":[{},{}]}`},
+	{"short cores", `{"ipc":[1,2],"mpki":[1,2],"cores":[{}]}`},
+}
+
+// FuzzDecodeResult: DecodeResult never panics, and any result it accepts
+// re-encodes to bytes that decode to the identical result.
+func FuzzDecodeResult(f *testing.F) {
+	r := NewRunner(registryOpts())
+	res, _ := mustRun(f, r, r.AloneSpec(r.Mixes()[0].Benchmarks[0]))
+	seed, err := EncodeResult(res)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add([]byte(`{"ipc":[1],"mpki":[0.5],"cores":[{}]}`))
+	for _, row := range hostileResults {
+		f.Add([]byte(row.data))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		res, err := DecodeResult(data)
+		if err != nil {
+			return
+		}
+		enc, err := EncodeResult(res)
+		if err != nil {
+			t.Fatalf("accepted result does not re-encode: %v", err)
+		}
+		back, err := DecodeResult(enc)
+		if err != nil {
+			t.Fatalf("re-encoded result does not decode: %v\n%s", err, enc)
+		}
+		if !reflect.DeepEqual(res, back) {
+			t.Fatalf("round trip diverged:\n got %+v\nwant %+v", back, res)
+		}
+	})
 }
 
 // TestWarmStoreRestart is the resume contract: a second runner over the
@@ -54,8 +102,8 @@ func TestWarmStoreRestart(t *testing.T) {
 	opts.Store = st
 
 	cold := NewRunner(opts)
-	table2 := cold.Table2().String()
-	fig13 := cold.Fig13().String()
+	table2 := runAs[Table2Result](t, cold, "table2").String()
+	fig13 := runAs[Fig13Result](t, cold, "fig13").String()
 	if table2 != goldenTable2 || fig13 != goldenFig13 {
 		t.Fatalf("store-backed cold run diverged from golden tables:\n%s\n%s", table2, fig13)
 	}
@@ -64,10 +112,10 @@ func TestWarmStoreRestart(t *testing.T) {
 	}
 
 	warm := NewRunner(opts) // fresh in-memory cache, same store
-	if got := warm.Table2().String(); got != goldenTable2 {
+	if got := runAs[Table2Result](t, warm, "table2").String(); got != goldenTable2 {
 		t.Errorf("warm Table2 diverged:\n got:\n%s\nwant:\n%s", got, goldenTable2)
 	}
-	if got := warm.Fig13().String(); got != goldenFig13 {
+	if got := runAs[Fig13Result](t, warm, "fig13").String(); got != goldenFig13 {
 		t.Errorf("warm Fig13 diverged:\n got:\n%s\nwant:\n%s", got, goldenFig13)
 	}
 	if n := warm.SimsRun(); n != 0 {
@@ -87,14 +135,14 @@ func TestWarmStoreSurvivesPartialResults(t *testing.T) {
 	opts.Store = st
 	r1 := NewRunner(opts)
 	wl := r1.Mixes()[0]
-	r1.run(wl, core.KindREFab, timing.Gb8, "", nil)
+	mustRun(t, r1, r1.specFor(wl, core.KindREFab, timing.Gb8, ""))
 	if r1.SimsRun() != 1 {
 		t.Fatalf("SimsRun = %d, want 1", r1.SimsRun())
 	}
 
 	r2 := NewRunner(opts)
-	r2.run(wl, core.KindREFab, timing.Gb8, "", nil) // from store
-	r2.run(wl, core.KindREFpb, timing.Gb8, "", nil) // missing: computes
+	mustRun(t, r2, r2.specFor(wl, core.KindREFab, timing.Gb8, "")) // from store
+	mustRun(t, r2, r2.specFor(wl, core.KindREFpb, timing.Gb8, "")) // missing: computes
 	if r2.SimsRun() != 1 || r2.StoreHits() != 1 {
 		t.Errorf("SimsRun=%d StoreHits=%d, want 1 and 1", r2.SimsRun(), r2.StoreHits())
 	}
@@ -224,22 +272,26 @@ func TestVariantModsMatchInternalSweeps(t *testing.T) {
 }
 
 // TestRunSpecMatchesInternalRun: the serving-layer entry point returns the
-// byte-identical result and shares the cache with the internal path.
+// byte-identical result and shares the cache with the experiment path
+// (RunAll).
 func TestRunSpecMatchesInternalRun(t *testing.T) {
 	r := NewRunner(tinyOpts())
-	wl := r.Mixes()[0]
-	direct := r.run(wl, core.KindREFab, timing.Gb8, "", nil)
-	res, src, err := r.RunSpec(r.specFor(wl, core.KindREFab, timing.Gb8, ""))
+	spec := r.specFor(r.Mixes()[0], core.KindREFab, timing.Gb8, "")
+	all, ok := r.RunAll([]SimSpec{spec})
+	if !ok {
+		t.Fatal("RunAll withheld its results")
+	}
+	res, info, err := r.RunSpecInfo(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src != SourceMemory {
-		t.Errorf("source = %v, want memory (internal run already cached it)", src)
+	if info.Source != SourceMemory {
+		t.Errorf("source = %v, want memory (RunAll already cached it)", info.Source)
 	}
-	if !reflect.DeepEqual(direct, res) {
-		t.Error("RunSpec result differs from internal run")
+	if !reflect.DeepEqual(all[spec.Key()], res) {
+		t.Error("RunSpecInfo result differs from RunAll")
 	}
-	if _, _, err := r.RunSpec(SimSpec{Name: "broken"}); err == nil {
+	if _, _, err := r.RunSpecInfo(SimSpec{Name: "broken"}); err == nil {
 		t.Error("invalid spec did not error")
 	}
 }
@@ -253,9 +305,9 @@ func TestEphemeralResultsBoundMemory(t *testing.T) {
 	opts.Store = openStore(t)
 	opts.EphemeralResults = true
 	r := NewRunner(opts)
-	wl := r.Mixes()[0]
-	first := r.run(wl, core.KindREFab, timing.Gb8, "", nil)
-	if got := r.run(wl, core.KindREFab, timing.Gb8, "", nil); !reflect.DeepEqual(first, got) {
+	spec := r.specFor(r.Mixes()[0], core.KindREFab, timing.Gb8, "")
+	first, _ := mustRun(t, r, spec)
+	if got, _ := mustRun(t, r, spec); !reflect.DeepEqual(first, got) {
 		t.Error("store re-read diverged from the computed result")
 	}
 	if n := r.SimsRun(); n != 1 {
@@ -276,8 +328,8 @@ func TestEphemeralResultsBoundMemory(t *testing.T) {
 	opts2 := tinyOpts()
 	opts2.EphemeralResults = true
 	r2 := NewRunner(opts2)
-	r2.run(wl, core.KindREFab, timing.Gb8, "", nil)
-	r2.run(wl, core.KindREFab, timing.Gb8, "", nil)
+	mustRun(t, r2, spec)
+	mustRun(t, r2, spec)
 	if n := r2.SimsRun(); n != 1 {
 		t.Errorf("store-less EphemeralResults recomputed: SimsRun = %d, want 1", n)
 	}
@@ -289,7 +341,10 @@ func TestInterruptStopsScheduling(t *testing.T) {
 		opts.Parallelism = par
 		r := NewRunner(opts)
 		r.Interrupt()
-		r.Table2() // must return promptly without simulating
+		// Must return promptly without simulating or assembling a table.
+		if out, err := r.RunExperiment("table2"); out != nil || err != nil {
+			t.Errorf("Parallelism=%d: interrupted RunExperiment = %v, %v; want no table", par, out, err)
+		}
 		if n := r.SimsRun(); n != 0 {
 			t.Errorf("Parallelism=%d: interrupted runner still ran %d simulations", par, n)
 		}

@@ -31,9 +31,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"math/rand"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -321,7 +323,9 @@ func (e *RunError) Error() string {
 }
 
 // Run dispatches every spec and returns the result map Assemble consumes.
-// Specs must be canonical (registry enumerations are). On permanent spec
+// Specs must be canonical (registry enumerations are; others go through
+// Runner.PrepareSpec): a worker keys its reply by the canonical form, and
+// a reply under any other key is refused. On permanent spec
 // failures the partial Results are returned together with a *RunError; on
 // context cancellation the error wraps ctx.Err() and the journal (if
 // configured) holds everything needed to resume.
@@ -471,8 +475,9 @@ func (o *Orchestrator) RunExperiment(ctx context.Context, r *exp.Runner, name st
 // up only on permanent errors (or MaxAttempts, or context cancellation).
 func (o *Orchestrator) runSpec(ctx context.Context, j *runJournal, spec exp.SimSpec, key store.Key) (sim.Result, []byte, error) {
 	label := specLabel(spec)
+	var malformed []*worker // workers whose reply for this spec was refused
 	for attempt := 0; ; attempt++ {
-		w, err := o.pickWorker(ctx, key)
+		w, err := o.pickWorker(ctx, key, malformed...)
 		if err != nil {
 			return sim.Result{}, nil, err
 		}
@@ -480,7 +485,7 @@ func (o *Orchestrator) runSpec(ctx context.Context, j *runJournal, spec exp.SimS
 			j.dispatched(key, w.url)
 		}
 		start := time.Now()
-		res, raw, src, resumedFrom, retryAfter, cause, err := o.post(ctx, w, spec)
+		res, raw, src, resumedFrom, retryAfter, cause, err := o.post(ctx, w, spec, key)
 		ms := float64(time.Since(start)) / float64(time.Millisecond)
 		if err == nil {
 			o.span(telemetry.Span{Kind: telemetry.SpanAttempt, Spec: key.String(), Label: label,
@@ -499,6 +504,9 @@ func (o *Orchestrator) runSpec(ctx context.Context, j *runJournal, spec exp.SimS
 		}
 		o.span(telemetry.Span{Kind: telemetry.SpanAttempt, Spec: key.String(), Label: label,
 			Attempt: attempt + 1, Worker: w.url, Status: cause, Millis: ms})
+		if cause == "malformed" {
+			malformed = append(malformed, w)
+		}
 		var perm *permanentError
 		if errors.As(err, &perm) {
 			o.log.Warn("spec failed permanently", "spec", label, "key", key.String(), "worker", w.url, "err", err)
@@ -580,7 +588,7 @@ func (e *permanentError) Unwrap() error { return e.err }
 // post performs one dispatch attempt. The error classification is the
 // heart of the fault story:
 //
-//	nil                         success; result decoded
+//	nil                         success; result decoded, reply key == key
 //	*permanentError             400/413 — fail the spec
 //	anything else               transient — back off and re-dispatch
 //
@@ -588,8 +596,11 @@ func (e *permanentError) Unwrap() error { return e.err }
 // On success the worker-reported source ("computed", "store", "memory",
 // "peer") comes back too — the fleet's measure of cache effectiveness.
 // On failure, cause names the class for the retry tally and the trace:
-// conn, timeout, 429, 503, 5xx, http, malformed, or permanent.
-func (o *Orchestrator) post(ctx context.Context, w *worker, spec exp.SimSpec) (_ sim.Result, _ []byte, src string, resumedFrom int64, retryAfter time.Duration, cause string, _ error) {
+// conn, timeout, 429, 503, 5xx, http, malformed, or permanent. A reply
+// over exp.MaxResultBytes, or one computed for a key other than the
+// dispatched one (a worker at another SchemaVersion), is malformed: its
+// payload must never be stored under key.
+func (o *Orchestrator) post(ctx context.Context, w *worker, spec exp.SimSpec, key store.Key) (_ sim.Result, _ []byte, src string, resumedFrom int64, retryAfter time.Duration, cause string, _ error) {
 	w.mu.Lock()
 	w.inflight++
 	w.mu.Unlock()
@@ -634,8 +645,11 @@ func (o *Orchestrator) post(ctx context.Context, w *worker, spec exp.SimSpec) (_
 			ResumedFrom int64           `json:"resumed_from"`
 			Result      json.RawMessage `json:"result"`
 		}
-		if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+		if err := json.NewDecoder(io.LimitReader(resp.Body, exp.MaxResultBytes)).Decode(&sr); err != nil {
 			return sim.Result{}, nil, "", 0, 0, "malformed", fmt.Errorf("worker %s: malformed response: %w", w.url, err)
+		}
+		if sr.Key != key.String() {
+			return sim.Result{}, nil, "", 0, 0, "malformed", fmt.Errorf("worker %s: reply for key %q, dispatched %s", w.url, sr.Key, key)
 		}
 		res, err := exp.DecodeResult(sr.Result)
 		if err != nil {
@@ -706,10 +720,17 @@ func (o *Orchestrator) backoff(attempt int) time.Duration {
 //  3. degraded owners, then the least-loaded degraded worker — they
 //     compute correctly but can't persist, so every result they serve
 //     is a future cache miss; last resort only.
-func (o *Orchestrator) pickWorker(ctx context.Context, key store.Key) (*worker, error) {
+//
+// Workers in avoid (those whose reply for this spec was refused) are
+// passed over while any other live worker remains.
+func (o *Orchestrator) pickWorker(ctx context.Context, key store.Key, avoid ...*worker) (*worker, error) {
 	warned := false
 	for {
-		if w := o.pickOnce(key); w != nil {
+		w := o.pickOnce(key, avoid)
+		if w == nil && len(avoid) > 0 {
+			w = o.pickOnce(key, nil)
+		}
+		if w != nil {
 			if o.ring.IsOwner(key, o.cfg.Replicas, w.url) {
 				o.affine.Add(1)
 			}
@@ -728,18 +749,19 @@ func (o *Orchestrator) pickWorker(ctx context.Context, key store.Key) (*worker, 
 	}
 }
 
-// pickOnce applies the affinity order against the current health view;
-// nil means the whole fleet is down right now.
-func (o *Orchestrator) pickOnce(key store.Key) *worker {
+// pickOnce applies the affinity order against the current health view,
+// skipping workers in avoid; nil means no such worker is up right now.
+func (o *Orchestrator) pickOnce(key store.Key, avoid []*worker) *worker {
+	usable := func(w *worker) bool { return w.isAlive() && !slices.Contains(avoid, w) }
 	owners := o.ring.Owners(key, o.cfg.Replicas)
 	for _, u := range owners {
-		if w := o.byURL[u]; w.isAlive() && !w.isDegraded() {
+		if w := o.byURL[u]; usable(w) && !w.isDegraded() {
 			return w
 		}
 	}
 	var best, bestDegraded *worker
 	for _, w := range o.workers {
-		if !w.isAlive() {
+		if !usable(w) {
 			continue
 		}
 		if w.isDegraded() {
@@ -756,7 +778,7 @@ func (o *Orchestrator) pickOnce(key store.Key) *worker {
 		return best
 	}
 	for _, u := range owners {
-		if w := o.byURL[u]; w.isAlive() {
+		if w := o.byURL[u]; usable(w) {
 			return w
 		}
 	}

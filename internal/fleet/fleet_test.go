@@ -1,8 +1,14 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -35,13 +41,23 @@ func mustOrch(t *testing.T, cfg Config) *Orchestrator {
 }
 
 func tinySpec(name string) exp.SimSpec {
-	return exp.SimSpec{
+	return canonical(exp.SimSpec{
 		Name:           name,
 		BenchmarkNames: []string{"h264.encode"},
 		Mechanism:      "REFab",
 		DensityGb:      8,
 		Seed:           7,
+	})
+}
+
+// canonical puts a spec in the form a worker keys its reply by; Run
+// refuses replies under any other key.
+func canonical(s exp.SimSpec) exp.SimSpec {
+	p, err := exp.NewRunner(tinyOpts()).PrepareSpec(s)
+	if err != nil {
+		panic(err)
 	}
+	return p
 }
 
 // TestRunExperimentMatchesLocal: a two-worker fleet reproduces a registry
@@ -122,9 +138,10 @@ func TestBackpressure429IsTransient(t *testing.T) {
 	for i := range specs {
 		// Distinct saturating runs long enough to hold the single queue
 		// slot while the other dispatchers arrive.
-		specs[i].BenchmarkNames = []string{"stream.triad"}
+		specs[i].Benchmarks, specs[i].BenchmarkNames = nil, []string{"stream.triad"}
 		specs[i].Seed = int64(100 + i)
 		specs[i].Measure = 300_000
+		specs[i] = canonical(specs[i])
 	}
 	res, err := o.Run(context.Background(), "backpressure", specs)
 	if err != nil {
@@ -165,6 +182,90 @@ func TestWorkerDeathRedispatchesToSurvivor(t *testing.T) {
 	}
 	if table.String() != golden.String() {
 		t.Error("table diverged after worker death")
+	}
+}
+
+// lyingWorker fronts a real worker but simulates a different spec than
+// the one dispatched (REFab/REFpb become NoREF) and relays the backend's
+// self-consistent reply — the key and result of that other spec. A
+// worker built at another SchemaVersion answers the same way: a valid
+// result under a key that is not the one the orchestrator asked for.
+func lyingWorker(t *testing.T, backend string) *httptest.Server {
+	t.Helper()
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) { fmt.Fprintln(w, "ok") })
+	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, _ *http.Request) {
+		fmt.Fprint(w, `{"queue_free":64,"queue_cap":64,"draining":false,"degraded":false}`)
+	})
+	mux.HandleFunc("POST /v1/sim", func(w http.ResponseWriter, r *http.Request) {
+		var spec exp.SimSpec
+		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		spec.Mechanism = "NoREF"
+		body, err := json.Marshal(spec)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		resp, err := http.Post(backend+"/v1/sim", "application/json", bytes.NewReader(body))
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		defer resp.Body.Close()
+		w.WriteHeader(resp.StatusCode)
+		io.Copy(w, resp.Body)
+	})
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestWrongKeyReplyRetriedElsewhere: a reply carrying another spec's key
+// is refused as malformed and the spec re-dispatched to an honest worker,
+// so neither the table nor the orchestrator's store holds a result under
+// the wrong key.
+func TestWrongKeyReplyRetriedElsewhere(t *testing.T) {
+	opts := tinyOpts()
+	golden, err := exp.NewRunner(opts).RunExperiment("fig7")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	honest := startWorker(t, opts)
+	liar := lyingWorker(t, startWorker(t, opts).url())
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig(liar.URL, honest.url())
+	cfg.Store = st
+	o := mustOrch(t, cfg)
+	table, err := o.RunExperiment(context.Background(), exp.NewRunner(opts), "fig7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if table.String() != golden.String() {
+		t.Errorf("wrong-key replies reached the table:\n got:\n%s\nwant:\n%s", table, golden)
+	}
+	if n := o.Stats().RetryCauses["malformed"]; n == 0 {
+		t.Error("no reply was refused as malformed; the lying worker was never hit")
+	}
+
+	// The local store holds only honest results: a warm rerun served
+	// entirely from it renders the same table.
+	warm := mustOrch(t, Config{Workers: []string{honest.url()}, Store: st})
+	again, err := warm.RunExperiment(context.Background(), exp.NewRunner(opts), "fig7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.String() != golden.String() {
+		t.Error("orchestrator store was poisoned by a wrong-key reply")
+	}
+	if st := warm.Stats(); st.Dispatched != 0 {
+		t.Errorf("warm rerun dispatched %d specs, want 0 (all local hits)", st.Dispatched)
 	}
 }
 

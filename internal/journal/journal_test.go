@@ -100,3 +100,27 @@ func TestAppendResumesExisting(t *testing.T) {
 		t.Fatalf("%d lines, want 2", len(lines))
 	}
 }
+
+// FuzzRead: arbitrary file bytes never panic Read, and every line it
+// accepts is a non-empty JSON document.
+func FuzzRead(f *testing.F) {
+	f.Add([]byte(`{"type":"a"}` + "\n" + `{"type":"b","n":1}` + "\n"))
+	f.Add([]byte(`{"type":"a"}` + "\n" + `{"type":"c","trunc`))
+	f.Add([]byte(`{"type":"a"}` + "\n" + `garbage` + "\n" + `{"type":"b"}` + "\n"))
+	f.Add([]byte("\n\n[1,2]\r\n\"s\"\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "j.jsonl")
+		if err := os.WriteFile(path, data, 0o666); err != nil {
+			t.Fatal(err)
+		}
+		lines, err := Read(path)
+		if err != nil {
+			return
+		}
+		for i, raw := range lines {
+			if len(raw) == 0 || !json.Valid(raw) {
+				t.Fatalf("accepted line %d is not a JSON document: %q", i, raw)
+			}
+		}
+	})
+}

@@ -243,12 +243,12 @@ func (p *peerNet) fetchOne(ctx context.Context, target string, k store.Key) ([]b
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("peer %s: %s", target, resp.Status)
 	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxResultBytes+1))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, exp.MaxResultBytes+1))
 	if err != nil {
 		return nil, err
 	}
-	if int64(len(data)) > maxResultBytes {
-		return nil, &corruptError{fmt.Errorf("payload exceeds %d bytes", int64(maxResultBytes))}
+	if int64(len(data)) > exp.MaxResultBytes {
+		return nil, &corruptError{fmt.Errorf("payload exceeds %d bytes", int64(exp.MaxResultBytes))}
 	}
 	if err := verifyPayload(data, resp.Header.Get(payloadHashHeader)); err != nil {
 		return nil, err
@@ -372,10 +372,6 @@ func (p *peerNet) pushBackoff(attempt int) time.Duration {
 	return time.Duration(float64(d) * f)
 }
 
-// maxResultBytes bounds a single result payload on the peer wire, both
-// directions. Matches the request-body cap on the JSON endpoints.
-const maxResultBytes = 8 << 20
-
 // --- /v1/results handlers (registered whether or not a peer tier is
 // configured: the GET side is also a useful raw-result export) ---
 
@@ -435,7 +431,7 @@ func (s *Server) handleResultPut(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxResultBytes))
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, exp.MaxResultBytes))
 	if err != nil {
 		httpError(w, decodeStatus(err), fmt.Errorf("serve: read payload: %w", err))
 		return

@@ -189,7 +189,7 @@ func TestOversizedBodyGets413(t *testing.T) {
 	s := newService(t, tinyOpts(), Config{Workers: 1}, nil)
 	// Well-formed JSON up to the cap, so the decoder is still reading —
 	// and hits the byte limit — rather than bailing on a syntax error.
-	big := append([]byte(`{"name":"`), bytes.Repeat([]byte("x"), maxResultBytes+1)...)
+	big := append([]byte(`{"name":"`), bytes.Repeat([]byte("x"), exp.MaxResultBytes+1)...)
 	big = append(big, '"', '}')
 	resp, err := http.Post(s.ts.URL+"/v1/sim", "application/json", bytes.NewReader(big))
 	if err != nil {
@@ -364,7 +364,7 @@ func TestCheckpointTravelsToPeer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := cold.RunSpec(preparedCold)
+	want, _, err := cold.RunSpecInfo(preparedCold)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,6 +33,17 @@ func tinyOpts() exp.Options {
 	}
 }
 
+// runExperiment renders a registry experiment computed locally on r: the
+// reference every HTTP-assembled table must match byte for byte.
+func runExperiment(t *testing.T, r *exp.Runner, name string) string {
+	t.Helper()
+	out, err := r.RunExperiment(name)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return out.String()
+}
+
 type testService struct {
 	*Server
 	runner *exp.Runner
@@ -475,7 +486,7 @@ func TestTable2OverHTTPWarmsLocalRunner(t *testing.T) {
 	}
 	coldStart := time.Now()
 	direct := exp.NewRunner(opts)
-	want := direct.Table2().String()
+	want := runExperiment(t, direct, "table2")
 	coldElapsed := time.Since(coldStart)
 
 	st, err := store.Open(t.TempDir(), store.Options{})
@@ -497,7 +508,7 @@ func TestTable2OverHTTPWarmsLocalRunner(t *testing.T) {
 
 	warmStart := time.Now()
 	warm := exp.NewRunner(func() exp.Options { o := opts; o.Store = s.store; return o }())
-	got := warm.Table2().String()
+	got := runExperiment(t, warm, "table2")
 	warmElapsed := time.Since(warmStart)
 
 	if got != want {
@@ -578,7 +589,7 @@ func TestExperimentEndpoints(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Errorf("table Content-Type = %q", ct)
 	}
-	want := exp.NewRunner(tinyOpts()).Fig7().String()
+	want := runExperiment(t, exp.NewRunner(tinyOpts()), "fig7")
 	if string(body) != want {
 		t.Errorf("HTTP-assembled fig7 diverged from local compute:\n got:\n%s\nwant:\n%s", body, want)
 	}
@@ -644,7 +655,7 @@ func TestExperimentZeroSpecs(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("fig5 table: %d %s", resp.StatusCode, body)
 	}
-	if want := exp.NewRunner(tinyOpts()).Fig5().String(); string(body) != want {
+	if want := runExperiment(t, exp.NewRunner(tinyOpts()), "fig5"); string(body) != want {
 		t.Error("fig5 table diverged")
 	}
 	// Its SSE stream is just the done event — and it replays.

@@ -733,7 +733,7 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
 	// MaxBytesReader needs the real ResponseWriter: on overflow net/http
 	// then sets Connection: close so the client stops streaming a body
 	// nobody will read.
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxResultBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, exp.MaxResultBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("serve: bad request body: %w", err)
