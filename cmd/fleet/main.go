@@ -27,11 +27,13 @@
 // experiment's specs locally at this scale, so it needs no agreement
 // with the workers' own flags — specs travel fully resolved.
 //
-// -journal names an append-only run journal: if the command dies (or is
-// interrupted), rerunning it with the same journal resumes where it
-// left off instead of starting over. -store keeps fetched results in a
-// local content-addressed store, so a resumed run re-dispatches nothing
-// that already landed.
+// -journal names an append-only run journal of every dispatch and
+// outcome; a rerun with the same journal refuses to mix in a different
+// run and logs how far the last one got. The stores are what make a
+// rerun after a crash or interrupt cheap: -store keeps fetched results
+// in a local content-addressed store, so a rerun re-dispatches nothing
+// that already landed, and the rest are warm hits on the workers' own
+// stores.
 //
 // -trace appends the run's trace-of-record to a JSONL flight recorder:
 // a run header, then one span per dispatch attempt (worker, status or
@@ -202,8 +204,8 @@ func mainImpl() int {
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
-		if ctx.Err() != nil && *journal == "" {
-			fmt.Fprintln(os.Stderr, "fleet: hint: pass -journal to make interrupted runs resumable")
+		if ctx.Err() != nil && *storeDir == "" {
+			fmt.Fprintln(os.Stderr, "fleet: hint: pass -store (and -journal) so a rerun skips what already landed")
 		}
 		return 1
 	}

@@ -47,7 +47,7 @@ type DARP struct {
 	// demand-free and past their pull-in threshold — the candidate set of
 	// Fig. 8's idle-bank refresh, consumed by Tick's pickIdleBank,
 	// NextDeadline's step-4 deadline, and Skip's rng replay. Valid while
-	// the controller's demand epoch is unchanged, no refresh has been
+	// the controller's zero-demand epoch is unchanged, no refresh has been
 	// recorded, and now is before the next pull-in crossing (eligJoin).
 	eligValid bool
 	eligEpoch uint64

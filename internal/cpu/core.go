@@ -52,7 +52,7 @@ type loadEntry struct {
 // Core is one trace-driven core.
 type Core struct {
 	cfg    Config
-	id     int
+	id     int // index in the system, for error messages
 	gen    trace.Generator
 	mem    Memory
 	base   uint64 // physical address offset isolating this core's footprint
@@ -126,9 +126,6 @@ func New(id int, cfg Config, gen trace.Generator, maxOutstanding int, base uint6
 	}
 	return c
 }
-
-// ID returns the core's index.
-func (c *Core) ID() int { return c.id }
 
 // Stats returns progress counters.
 func (c *Core) Stats() Stats {

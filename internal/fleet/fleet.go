@@ -14,10 +14,16 @@
 //     with jitter;
 //   - 400 and 413 are permanent: they fail the spec, not the run, and are
 //     reported together when the run finishes;
+//   - a worker whose reply is refused (undecodable, or keyed for another
+//     spec) is passed over for the rest of the run while any other live
+//     worker remains;
+//   - a spec that is not canonical (see Run) fails up front, undispatched;
 //   - job state (pending → dispatched@worker → done | failed) is
-//     journaled to an append-only file, so an orchestrator restart
-//     resumes from the journal plus warm-store probes instead of
-//     recomputing.
+//     journaled to an append-only file. A restarted run does not
+//     recompute, but the stores are what make that so: specs in
+//     Config.Store (cmd/fleet -store) are never dispatched, and the rest
+//     re-dispatch to workers whose stores serve them warm. The replayed
+//     journal state itself only feeds a log line.
 //
 // Because every result is a pure content-addressed function of its spec,
 // re-dispatching is always safe: a worker that already holds the result
@@ -35,7 +41,6 @@ import (
 	"log/slog"
 	"math/rand"
 	"net/http"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -135,6 +140,7 @@ type worker struct {
 	alive    bool
 	probed   bool // at least one probe completed (avoid "down" logs at startup)
 	degraded bool // worker self-reports degraded (read-only store / journal loss)
+	refused  bool // a reply from it was refused this run: dispatch elsewhere while possible
 	backlog  int  // worker-reported queued+running tasks (best effort)
 	inflight int  // this orchestrator's outstanding dispatches
 }
@@ -157,6 +163,12 @@ func (w *worker) isDegraded() bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.degraded
+}
+
+func (w *worker) isRefused() bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.refused
 }
 
 // Orchestrator dispatches specs across a fleet of dsarpd workers. Safe
@@ -325,13 +337,19 @@ func (e *RunError) Error() string {
 // Run dispatches every spec and returns the result map Assemble consumes.
 // Specs must be canonical (registry enumerations are; others go through
 // Runner.PrepareSpec): a worker keys its reply by the canonical form, and
-// a reply under any other key is refused. On permanent spec
-// failures the partial Results are returned together with a *RunError; on
-// context cancellation the error wraps ctx.Err() and the journal (if
-// configured) holds everything needed to resume.
+// a reply under any other key is refused, so a spec that PrepareSpec
+// would rewrite fails at once as a SpecError, undispatched. On
+// permanent spec failures the partial Results are returned together with
+// a *RunError; on context cancellation the error wraps ctx.Err() and the
+// journal (if configured) holds everything needed to resume.
 func (o *Orchestrator) Run(ctx context.Context, name string, specs []exp.SimSpec) (exp.Results, error) {
 	o.traceID = telemetry.NewTraceID()
 	o.log = o.log.With("run", name, "trace", o.traceID)
+	for _, w := range o.workers {
+		w.mu.Lock()
+		w.refused = false
+		w.mu.Unlock()
+	}
 	o.span(telemetry.Span{Kind: telemetry.SpanRun, Name: name, Schema: exp.SchemaVersion, Total: len(specs)})
 	keys := make([]store.Key, len(specs))
 	for i, s := range specs {
@@ -357,15 +375,36 @@ func (o *Orchestrator) Run(ctx context.Context, name string, specs []exp.SimSpec
 	}
 
 	results := make(exp.Results, len(specs))
-	var resMu sync.Mutex
+	var (
+		resMu  sync.Mutex
+		failMu sync.Mutex
+		failed []SpecError
+	)
+	fail := func(idx int, err error) {
+		o.failedN.Add(1)
+		failMu.Lock()
+		failed = append(failed, SpecError{Index: idx, Label: specLabel(specs[idx]), Key: keys[idx], Err: err})
+		failMu.Unlock()
+	}
 
 	// Warm-resume pass: a spec whose result is already in the local store
 	// is done before the first byte hits the network. Journal entries
 	// marking a spec done on some worker do not exempt it from dispatch —
 	// without the payload the table cannot be assembled — but its
 	// re-dispatch is a warm store hit on that worker, not a recompute.
+	validator := exp.NewRunner(exp.Options{Warmup: 1, Measure: 1})
 	var pending []int
 	for i := range specs {
+		if err := canonicalErr(validator, specs[i], keys[i]); err != nil {
+			o.log.Warn("spec refused", "spec", specLabel(specs[i]), "key", keys[i].String(), "err", err)
+			o.span(telemetry.Span{Kind: telemetry.SpanResult, Spec: keys[i].String(),
+				Label: specLabel(specs[i]), Status: "failed", Error: err.Error()})
+			if j != nil {
+				j.failed(keys[i], err.Error())
+			}
+			fail(i, err)
+			continue
+		}
 		if o.cfg.Store != nil {
 			if data, ok := o.cfg.Store.Get(keys[i]); ok {
 				if res, err := exp.DecodeResult(data); err == nil {
@@ -397,8 +436,6 @@ func (o *Orchestrator) Run(ctx context.Context, name string, specs []exp.SimSpec
 
 		var (
 			wg      sync.WaitGroup
-			failMu  sync.Mutex
-			failed  []SpecError
 			queue   = make(chan int)
 			workers = min(o.cfg.Concurrency, len(pending))
 		)
@@ -419,12 +456,7 @@ func (o *Orchestrator) Run(ctx context.Context, name string, specs []exp.SimSpec
 					case ctx.Err() != nil:
 						// Cancelled mid-spec: reported once, below.
 					default:
-						o.failedN.Add(1)
-						failMu.Lock()
-						failed = append(failed, SpecError{
-							Index: idx, Label: specLabel(specs[idx]), Key: keys[idx], Err: err,
-						})
-						failMu.Unlock()
+						fail(idx, err)
 					}
 				}
 			}()
@@ -447,12 +479,25 @@ func (o *Orchestrator) Run(ctx context.Context, name string, specs []exp.SimSpec
 			}
 			return results, fmt.Errorf("fleet: run %s interrupted: %w%s", name, err, resume)
 		}
-		if len(failed) > 0 {
-			sort.Slice(failed, func(a, b int) bool { return failed[a].Index < failed[b].Index })
-			return results, &RunError{Failed: failed}
-		}
+	}
+	if len(failed) > 0 {
+		sort.Slice(failed, func(a, b int) bool { return failed[a].Index < failed[b].Index })
+		return results, &RunError{Failed: failed}
 	}
 	return results, nil
+}
+
+// canonicalErr refuses a spec that PrepareSpec would rewrite (library
+// benchmark names, unset warmup or measure): every worker would reply
+// under the canonical key, every reply would be refused, and the spec
+// would retry forever. Any nonzero validator window makes an unset one
+// change the key. A spec PrepareSpec rejects outright is left to the
+// worker, whose 400 fails it on the first attempt.
+func canonicalErr(validator *exp.Runner, spec exp.SimSpec, key store.Key) error {
+	if c, err := validator.PrepareSpec(spec); err == nil && c.Key() != key {
+		return errors.New("fleet: spec is not canonical; prepare it with Runner.PrepareSpec")
+	}
+	return nil
 }
 
 // RunExperiment reproduces one registry experiment on the fleet:
@@ -475,9 +520,8 @@ func (o *Orchestrator) RunExperiment(ctx context.Context, r *exp.Runner, name st
 // up only on permanent errors (or MaxAttempts, or context cancellation).
 func (o *Orchestrator) runSpec(ctx context.Context, j *runJournal, spec exp.SimSpec, key store.Key) (sim.Result, []byte, error) {
 	label := specLabel(spec)
-	var malformed []*worker // workers whose reply for this spec was refused
 	for attempt := 0; ; attempt++ {
-		w, err := o.pickWorker(ctx, key, malformed...)
+		w, err := o.pickWorker(ctx, key)
 		if err != nil {
 			return sim.Result{}, nil, err
 		}
@@ -505,7 +549,7 @@ func (o *Orchestrator) runSpec(ctx context.Context, j *runJournal, spec exp.SimS
 		o.span(telemetry.Span{Kind: telemetry.SpanAttempt, Spec: key.String(), Label: label,
 			Attempt: attempt + 1, Worker: w.url, Status: cause, Millis: ms})
 		if cause == "malformed" {
-			malformed = append(malformed, w)
+			o.refuse(w, err)
 		}
 		var perm *permanentError
 		if errors.As(err, &perm) {
@@ -721,14 +765,14 @@ func (o *Orchestrator) backoff(attempt int) time.Duration {
 //     compute correctly but can't persist, so every result they serve
 //     is a future cache miss; last resort only.
 //
-// Workers in avoid (those whose reply for this spec was refused) are
-// passed over while any other live worker remains.
-func (o *Orchestrator) pickWorker(ctx context.Context, key store.Key, avoid ...*worker) (*worker, error) {
+// Refused workers (see refuse) are passed over while any other live
+// worker remains.
+func (o *Orchestrator) pickWorker(ctx context.Context, key store.Key) (*worker, error) {
 	warned := false
 	for {
-		w := o.pickOnce(key, avoid)
-		if w == nil && len(avoid) > 0 {
-			w = o.pickOnce(key, nil)
+		w := o.pickOnce(key, true)
+		if w == nil {
+			w = o.pickOnce(key, false)
 		}
 		if w != nil {
 			if o.ring.IsOwner(key, o.cfg.Replicas, w.url) {
@@ -750,9 +794,10 @@ func (o *Orchestrator) pickWorker(ctx context.Context, key store.Key, avoid ...*
 }
 
 // pickOnce applies the affinity order against the current health view,
-// skipping workers in avoid; nil means no such worker is up right now.
-func (o *Orchestrator) pickOnce(key store.Key, avoid []*worker) *worker {
-	usable := func(w *worker) bool { return w.isAlive() && !slices.Contains(avoid, w) }
+// skipping refused workers if skipRefused; nil means no such worker is up
+// right now.
+func (o *Orchestrator) pickOnce(key store.Key, skipRefused bool) *worker {
+	usable := func(w *worker) bool { return w.isAlive() && !(skipRefused && w.isRefused()) }
 	owners := o.ring.Owners(key, o.cfg.Replicas)
 	for _, u := range owners {
 		if w := o.byURL[u]; usable(w) && !w.isDegraded() {
@@ -922,6 +967,20 @@ func (o *Orchestrator) ReplicationSummary(ctx context.Context) (string, bool) {
 	}
 	return fmt.Sprintf("replication: R=%d across %d/%d workers, peer fetch %d hit / %d miss, push %d ok / %d failed, %d corrupt rejected",
 		agg.Replicas, reporting, len(o.workers), agg.FetchHits, agg.FetchMisses, agg.PushOK, agg.PushFails, agg.CorruptRejected), true
+}
+
+// refuse marks a worker whose reply was refused (undecodable, or keyed for
+// another spec): it is passed over for the rest of the run while any other
+// live worker remains, so ring affinity stops sending it every spec it
+// owns.
+func (o *Orchestrator) refuse(w *worker, err error) {
+	w.mu.Lock()
+	was := w.refused
+	w.refused = true
+	w.mu.Unlock()
+	if !was {
+		o.log.Warn("worker reply refused; avoiding it for the rest of the run", "worker", w.url, "err", err)
+	}
 }
 
 // markDead records a dispatch-time discovery that a worker is gone; the

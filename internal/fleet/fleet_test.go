@@ -125,6 +125,42 @@ func TestPermanentFailureFailsSpecNotRun(t *testing.T) {
 	}
 }
 
+// TestNonCanonicalSpecRefusedUpFront: a spec a worker would answer under
+// another key (library benchmark names, unset warmup or measure) fails at
+// once, undispatched, even with unlimited retries; the others complete.
+func TestNonCanonicalSpecRefusedUpFront(t *testing.T) {
+	w := startWorker(t, tinyOpts())
+	o := mustOrch(t, testConfig(w.url()))
+
+	names := tinySpec("names")
+	names.Benchmarks, names.BenchmarkNames = nil, []string{"h264.encode"}
+	noWarmup := tinySpec("no-warmup")
+	noWarmup.Warmup = 0
+	specs := []exp.SimSpec{tinySpec("ok"), names, noWarmup}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	res, err := o.Run(ctx, "non-canonical", specs)
+
+	var runErr *RunError
+	if !errors.As(err, &runErr) {
+		t.Fatalf("err = %v, want *RunError", err)
+	}
+	if len(runErr.Failed) != 2 || runErr.Failed[0].Index != 1 || runErr.Failed[1].Index != 2 {
+		t.Fatalf("failed = %+v, want specs 1 and 2", runErr.Failed)
+	}
+	for _, f := range runErr.Failed {
+		if !strings.Contains(f.Error(), specLabel(specs[f.Index])) || !strings.Contains(f.Error(), "not canonical") {
+			t.Errorf("failure %q does not name the non-canonical spec", f.Error())
+		}
+	}
+	if _, ok := res[specs[0].Key()]; !ok {
+		t.Error("canonical spec missing from results")
+	}
+	if st := o.Stats(); st.Dispatched != 1 || st.Retries != 0 {
+		t.Errorf("dispatched %d, retried %d; want the canonical spec only, once", st.Dispatched, st.Retries)
+	}
+}
+
 // TestBackpressure429IsTransient: a worker with a one-slot queue bounces
 // concurrent dispatches with 429 + Retry-After; the orchestrator honors
 // the wait and completes every spec anyway.
@@ -242,6 +278,7 @@ func TestWrongKeyReplyRetriedElsewhere(t *testing.T) {
 	}
 	cfg := testConfig(liar.URL, honest.url())
 	cfg.Store = st
+	cfg.Concurrency = 2 // fewer than the specs the liar owns, so the bound below bites
 	o := mustOrch(t, cfg)
 	table, err := o.RunExperiment(context.Background(), exp.NewRunner(opts), "fig7")
 	if err != nil {
@@ -250,8 +287,12 @@ func TestWrongKeyReplyRetriedElsewhere(t *testing.T) {
 	if table.String() != golden.String() {
 		t.Errorf("wrong-key replies reached the table:\n got:\n%s\nwant:\n%s", table, golden)
 	}
+	// Once one reply is refused the liar is skipped for the rest of the
+	// run, so only the dispatches already in flight to it can be refused.
 	if n := o.Stats().RetryCauses["malformed"]; n == 0 {
 		t.Error("no reply was refused as malformed; the lying worker was never hit")
+	} else if n > int64(o.cfg.Concurrency) {
+		t.Errorf("%d replies refused as malformed, want at most Concurrency=%d", n, o.cfg.Concurrency)
 	}
 
 	// The local store holds only honest results: a warm rerun served
@@ -336,9 +377,9 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 }
 
-// TestJournalResume: an interrupted run resumes from the journal plus the
-// local store — the second orchestrator re-simulates nothing, and total
-// fleet work equals one cold run.
+// TestJournalResume: an interrupted run resumes from the local store and
+// the worker's store — the second orchestrator re-simulates nothing, and
+// total fleet work equals one cold run.
 func TestJournalResume(t *testing.T) {
 	opts := tinyOpts()
 	w := startWorker(t, opts)

@@ -90,8 +90,6 @@ type Controller struct {
 	// read a field instead of dispatching through the policy interface.
 	blockedEpoch uint64
 
-	demandEpoch uint64 // bumped whenever a request is admitted or leaves a queue
-
 	// Snapshot of the policy's Rank/BankBlocked answers, rebuilt whenever
 	// blockedEpoch moves (the NoteBlockedChanged contract guarantees every
 	// change bumps it). Demand scans probe blocked state twice per bank, so the
@@ -176,23 +174,14 @@ func (c *Controller) Dev() *dram.Device { return c.dev }
 // Timing implements View.
 func (c *Controller) Timing() timing.Params { return c.tp }
 
-// PendingDemand implements View.
-func (c *Controller) PendingDemand(rank, bank int) int { return c.pending.Demand(rank, bank) }
-
 // PendingDemandSlab implements View.
 func (c *Controller) PendingDemandSlab() []int { return c.pending.demand }
 
 // PendingRankDemand implements View.
 func (c *Controller) PendingRankDemand(rank int) int { return c.pending.Rank(rank) }
 
-// PendingReads implements View.
-func (c *Controller) PendingReads(rank, bank int) int { return c.pending.Reads(rank, bank) }
-
 // WriteMode implements View.
 func (c *Controller) WriteMode() bool { return c.wmode }
-
-// DemandEpoch implements View.
-func (c *Controller) DemandEpoch() uint64 { return c.demandEpoch }
 
 // DemandZeroEpoch implements View.
 func (c *Controller) DemandZeroEpoch() uint64 { return c.pending.zeroEpoch }
@@ -253,9 +242,6 @@ func (c *Controller) recycle(req *Request) {
 		c.reqFree = append(c.reqFree, req)
 	}
 }
-
-// ReadQueueLen returns the current read queue occupancy.
-func (c *Controller) ReadQueueLen() int { return c.readIx.n }
 
 // WriteQueueLen returns the current write queue occupancy.
 func (c *Controller) WriteQueueLen() int { return c.writeIx.n }
@@ -329,7 +315,6 @@ func (c *Controller) EnqueueRead(req *Request, now int64) bool {
 	c.readIx.add(req)
 	c.pending.add(req, 1)
 	c.noteArrival(req, now)
-	c.demandEpoch++
 	c.evValid = false
 	return true
 }
@@ -354,7 +339,6 @@ func (c *Controller) EnqueueWrite(req *Request, now int64) bool {
 	c.writeAddrs[packAddr(req.Addr)] = struct{}{}
 	c.pending.add(req, 1)
 	c.noteArrival(req, now)
-	c.demandEpoch++
 	c.evValid = false
 	return true
 }
@@ -771,7 +755,6 @@ func (c *Controller) removeRequest(req *Request) {
 		c.readIx.remove(req)
 	}
 	c.missValid = false
-	c.demandEpoch++
 }
 
 // Drained reports whether all queues and in-flight reads are empty.

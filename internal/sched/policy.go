@@ -57,8 +57,6 @@ type View interface {
 	Dev() *dram.Device
 	// Timing is the active timing parameter set.
 	Timing() timing.Params
-	// PendingDemand is the number of queued reads+writes for a bank.
-	PendingDemand(rank, bank int) int
 	// PendingDemandSlab is the live per-bank reads+writes table, indexed by
 	// flat bank id rank*Banks+bank. Policies that sweep every bank each
 	// decision (DARP's eligibility rebuild) read it directly instead of
@@ -70,18 +68,11 @@ type View interface {
 	// rank — the O(1) form of the per-bank sum that idle-rank checks
 	// (Elastic, AR, Pausing) would otherwise rebuild every cycle.
 	PendingRankDemand(rank int) int
-	// PendingReads is the number of queued reads for a bank.
-	PendingReads(rank, bank int) int
-	// DemandEpoch is a counter the controller bumps whenever any
-	// PendingDemand/PendingRankDemand/PendingReads answer may have changed
-	// (a request was admitted or left a queue). Policies use it to cache
-	// demand-dependent scans across the cycles in between.
-	DemandEpoch() uint64
 	// DemandZeroEpoch is a counter that bumps exactly when some bank's or
 	// rank's pending-demand count crosses 0 <-> nonzero. Policies whose
-	// cached decisions depend only on which banks/ranks are idle key on it
-	// instead of DemandEpoch: under saturated traffic the counts move every
-	// cycle but rarely touch zero, so the cache survives.
+	// cached decisions depend only on which banks/ranks are idle key on it:
+	// under saturated traffic the counts move every cycle but rarely touch
+	// zero, so the cache survives.
 	DemandZeroEpoch() uint64
 	// WriteMode reports whether the controller is draining a write batch.
 	WriteMode() bool

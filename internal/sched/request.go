@@ -49,16 +49,11 @@ type Request struct {
 	stamp int64
 }
 
-// Latency is the request's queueing+service latency in DRAM cycles.
-func (r *Request) Latency() int64 { return r.Done - r.Arrive }
-
 // bankPending tracks per-bank queued demand so refresh policies can make
 // O(1) idleness decisions (DARP monitors "bank request queues' occupancies",
 // paper §4.2.1).
 type bankPending struct {
 	banks  int
-	reads  []int
-	writes []int
 	demand []int // per-bank reads+writes totals (the slab policies scan)
 	rank   []int // per-rank reads+writes totals
 
@@ -67,25 +62,17 @@ type bankPending struct {
 	// decisions depend only on which banks are idle (DARP's pull-in
 	// eligibility) key their caches on it, so steady saturated traffic —
 	// where counts move but never touch zero — does not force rebuilds the
-	// way the full demand epoch would.
+	// way a counter bumped on every admission would.
 	zeroEpoch uint64
 }
 
 func newBankPending(ranks, banks int) *bankPending {
 	n := ranks * banks
-	return &bankPending{banks: banks, reads: make([]int, n), writes: make([]int, n),
-		demand: make([]int, n), rank: make([]int, ranks)}
+	return &bankPending{banks: banks, demand: make([]int, n), rank: make([]int, ranks)}
 }
 
-func (p *bankPending) idx(rank, bank int) int { return rank*p.banks + bank }
-
 func (p *bankPending) add(r *Request, delta int) {
-	i := p.idx(r.Addr.Rank, r.Addr.Bank)
-	if r.IsWrite {
-		p.writes[i] += delta
-	} else {
-		p.reads[i] += delta
-	}
+	i := r.Addr.Rank*p.banks + r.Addr.Bank
 	p.demand[i] += delta
 	p.rank[r.Addr.Rank] += delta
 	if p.demand[i] == 0 || p.demand[i] == delta || p.rank[r.Addr.Rank] == 0 || p.rank[r.Addr.Rank] == delta {
@@ -93,16 +80,5 @@ func (p *bankPending) add(r *Request, delta int) {
 	}
 }
 
-// Demand is the total queued demand (reads+writes) for a bank.
-func (p *bankPending) Demand(rank, bank int) int {
-	return p.demand[p.idx(rank, bank)]
-}
-
 // Rank is the total queued demand (reads+writes) for a whole rank.
 func (p *bankPending) Rank(rank int) int { return p.rank[rank] }
-
-// Reads is the queued read count for a bank.
-func (p *bankPending) Reads(rank, bank int) int { return p.reads[p.idx(rank, bank)] }
-
-// Writes is the queued write count for a bank.
-func (p *bankPending) Writes(rank, bank int) int { return p.writes[p.idx(rank, bank)] }

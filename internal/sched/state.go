@@ -10,7 +10,7 @@ import (
 // AppendState writes the controller's mutable state: admission counters,
 // write-mode flag, both request queues (bucket by bucket, in active-list
 // order, requests in arrival order), the two in-flight FIFOs, the cached
-// demand-search miss, the blocked/demand/zero epochs, and statistics.
+// demand-search miss, the blocked and zero-demand epochs, and statistics.
 //
 // The queue indexes' candidate registers (hit/hitN/openRow/oldSeq/rows),
 // the bankPending occupancy slabs, and the write-address set are all
@@ -26,7 +26,6 @@ func (c *Controller) AppendState(w *snap.Writer) {
 	w.Bool(c.wmode)
 	w.I64(c.inflightStamp)
 	w.U64(c.blockedEpoch)
-	w.U64(c.demandEpoch)
 	w.U64(c.pending.zeroEpoch)
 	w.Bool(c.missValid)
 	w.I64(c.missNextTry)
@@ -147,7 +146,6 @@ func (c *Controller) LoadState(r *snap.Reader, resolve Resolver) error {
 	c.wmode = r.Bool()
 	c.inflightStamp = r.I64()
 	blockedEpoch := r.U64()
-	demandEpoch := r.U64()
 	zeroEpoch := r.U64()
 	c.missValid = r.Bool()
 	c.missNextTry = r.I64()
@@ -168,7 +166,7 @@ func (c *Controller) LoadState(r *snap.Reader, resolve Resolver) error {
 	// Zero the occupancy slabs in place: policies cache the demand slab
 	// pointer at construction, so the backing arrays must survive.
 	for i := range c.pending.demand {
-		c.pending.reads[i], c.pending.writes[i], c.pending.demand[i] = 0, 0, 0
+		c.pending.demand[i] = 0
 	}
 	for i := range c.pending.rank {
 		c.pending.rank[i] = 0
@@ -201,7 +199,6 @@ func (c *Controller) LoadState(r *snap.Reader, resolve Resolver) error {
 	// The replay bumped the derived epochs; pin them back to the cold
 	// run's exact values so policy caches keyed on them stay coherent.
 	c.blockedEpoch = blockedEpoch
-	c.demandEpoch = demandEpoch
 	c.pending.zeroEpoch = zeroEpoch
 	c.blockedInit = false
 	c.evValid = false

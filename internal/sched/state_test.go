@@ -49,9 +49,9 @@ func TestLoadStateBoundsCounts(t *testing.T) {
 			c := sched.NewController(dev, sched.DefaultConfig(), nil)
 			w := snap.NewWriter()
 			w.Section("ctrl")
-			// The fixed header — 8 counters and epochs, 2 flags, 13 stats —
+			// The fixed header — 7 counters and epochs, 2 flags, 13 stats —
 			// all zero, so the order of the zero bytes is immaterial.
-			for i := 0; i < 8+13; i++ {
+			for i := 0; i < 7+13; i++ {
 				w.U64(0)
 			}
 			w.Bool(false)

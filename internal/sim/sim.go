@@ -56,12 +56,12 @@ type Config struct {
 	Measure int64
 
 	// Stop, if non-nil, is a cooperative abort flag: the run loop polls it
-	// every few thousand cycles and, once it reads true, Run returns
-	// ErrInterrupted instead of a Result. This is the per-simulation
-	// watchdog hook (exp.Options.SimTimeout arms it from a wall-clock
-	// timer); an aborted run produces no partial Result, so nothing
-	// half-measured can ever reach a cache or store. Nil costs nothing on
-	// the hot path.
+	// every few thousand iterations and at every checkpoint boundary and,
+	// once it reads true, Run returns ErrInterrupted instead of a Result.
+	// This is the per-simulation watchdog hook (exp.Options.SimTimeout arms
+	// it from a wall-clock timer); an aborted run produces no partial
+	// Result, so nothing half-measured can ever reach a cache or store. Nil
+	// costs nothing on the hot path.
 	Stop *atomic.Bool
 
 	// Check attaches the DRAM protocol checker (slower; used in tests).
@@ -164,13 +164,6 @@ type System struct {
 	// interface so the per-cycle probe is a direct call.
 	hotKind int8 // hotNone, or the component list hotIdx indexes
 	hotIdx  int
-
-	// Checkpoint schedule, armed by RunWithCheckpoints/ResumeRun: a snapshot
-	// is captured whenever the clock reaches ckptNext.
-	ckptEvery  int64
-	ckptNext   int64
-	ckptSink   Checkpointer
-	measureEnd int64
 
 	// Measurement baseline (beginMeasure). Carried in snapshots so a resumed
 	// run windows its Result identically to the cold run.
@@ -451,16 +444,14 @@ func (s *System) RunTo(end int64) {
 			if t-s.now >= worthwhileSkip {
 				sat = 0
 			}
-			s.skipTo(t)
+			s.SkipTo(t)
 			if s.now < end {
 				// The skip landed on the window's bounding event; step it
 				// without paying for a scan that would just confirm it.
-				s.maybeCheckpoint()
 				s.stepSelective()
 			}
 			continue
 		}
-		s.maybeCheckpoint()
 		if s.stepSelective() == 0 {
 			sat += 4 // nothing avoided at all: saturate faster
 		} else {
@@ -471,50 +462,14 @@ func (s *System) RunTo(end int64) {
 			// scanning, then stay wary until a real skip lands.
 			sat = saturatedAfter / 2
 			for i := 0; i < blindWindow && s.now < end; i++ {
-				s.maybeCheckpoint()
 				s.Step()
 			}
 		}
 	}
 }
 
-// maybeCheckpoint captures a snapshot when the clock sits exactly on the
-// next scheduled checkpoint boundary. Callers invoke it immediately before
-// every clock advance, so the snapshot always reflects the state at the
-// top of cycle ckptNext. Two compares when no schedule is armed.
-func (s *System) maybeCheckpoint() {
-	if s.ckptSink == nil || s.now != s.ckptNext {
-		return
-	}
-	s.ckptSink(s.now, s.Snapshot())
-	s.ckptNext += s.ckptEvery
-	if s.ckptNext >= s.measureEnd {
-		s.ckptSink = nil
-	}
-}
-
-// skipTo is SkipTo with checkpoint-boundary splitting: a skip that would
-// jump over a scheduled checkpoint cycle is split so the snapshot is
-// captured with the clock exactly on the boundary. The split is invisible
-// to the machine: SkipTo composes.
-func (s *System) skipTo(t int64) {
-	for s.ckptSink != nil && s.ckptNext < t && s.ckptNext >= s.now {
-		if s.ckptNext > s.now {
-			s.SkipTo(s.ckptNext)
-		}
-		s.maybeCheckpoint()
-	}
-	s.SkipTo(t)
-}
-
 // Now returns the current DRAM cycle.
 func (s *System) Now() int64 { return s.now }
-
-// Controllers exposes the per-channel controllers (tests, diagnostics).
-func (s *System) Controllers() []*sched.Controller { return s.ctrls }
-
-// Devices exposes the per-channel DRAM devices.
-func (s *System) Devices() []*dram.Device { return s.devs }
 
 type snapshot struct {
 	cores []cpu.Stats
@@ -632,13 +587,8 @@ func RunWithCheckpoints(cfg Config, every int64, sink Checkpointer) (Result, err
 	s.beginMeasure()
 	if sink != nil && s.CanSnapshot() {
 		sink(s.now, s.Snapshot())
-		s.armCheckpoints(every, sink)
 	}
-	s.RunTo(cfg.Warmup + cfg.Measure)
-	if s.now < cfg.Warmup+cfg.Measure {
-		return Result{}, ErrInterrupted
-	}
-	return s.result(), nil
+	return s.runWindow(every, sink)
 }
 
 // ResumeRun continues a run from a snapshot taken by a checkpointed run of
@@ -646,7 +596,7 @@ func RunWithCheckpoints(cfg Config, every int64, sink Checkpointer) (Result, err
 // measurement length, enabling measure-extension reuse). The resumed run's
 // Result is bit-identical to an uninterrupted run's in every model field;
 // its SteppedCycles counts only the cycles after the resume point.
-// every/sink arm further checkpoints exactly as RunWithCheckpoints would.
+// every/sink take further checkpoints exactly as RunWithCheckpoints would.
 func ResumeRun(cfg Config, data []byte, every int64, sink Checkpointer) (Result, error) {
 	cfg = cfg.WithDefaults()
 	s, err := RestoreSystem(cfg, data)
@@ -658,30 +608,28 @@ func ResumeRun(cfg Config, data []byte, every int64, sink Checkpointer) (Result,
 		return Result{}, fmt.Errorf("sim: snapshot at cycle %d outside measurement window [%d, %d)",
 			s.now, cfg.Warmup, end)
 	}
-	if sink != nil && s.CanSnapshot() {
-		s.armCheckpoints(every, sink)
+	return s.runWindow(every, sink)
+}
+
+// runWindow runs the rest of the measurement window as RunTo segments
+// that end on the checkpoint cycles Warmup + k*every (k >= 1) lying after
+// the current clock and strictly inside the window, handing sink a
+// snapshot at each. The schedule depends only on the config, so cold and
+// resumed runs write the same snapshot set; the segmenting is invisible to
+// the machine. Stop is also checked at every boundary, since a segment
+// shorter than stopPollEvery iterations never polls it.
+func (s *System) runWindow(every int64, sink Checkpointer) (Result, error) {
+	end := s.cfg.Warmup + s.cfg.Measure
+	if sink != nil && every > 0 && s.CanSnapshot() {
+		for c := s.cfg.Warmup + ((s.now-s.cfg.Warmup)/every+1)*every; c < end; c += every {
+			if s.RunTo(c); s.now < c || s.stopped() {
+				return Result{}, ErrInterrupted
+			}
+			sink(c, s.Snapshot())
+		}
 	}
-	s.RunTo(end)
-	if s.now < end {
+	if s.RunTo(end); s.now < end {
 		return Result{}, ErrInterrupted
 	}
 	return s.result(), nil
-}
-
-// armCheckpoints schedules periodic snapshots at cycles Warmup + k*every
-// for k >= 1, strictly inside the measurement window, starting after the
-// current clock. The schedule is identical whether armed at the warmup
-// boundary or on resume from any checkpoint, so cold and resumed runs
-// write the same snapshot set.
-func (s *System) armCheckpoints(every int64, sink Checkpointer) {
-	if sink == nil || every <= 0 {
-		return
-	}
-	end := s.cfg.Warmup + s.cfg.Measure
-	k := (s.now-s.cfg.Warmup)/every + 1
-	next := s.cfg.Warmup + k*every
-	if next >= end {
-		return
-	}
-	s.ckptEvery, s.ckptNext, s.ckptSink, s.measureEnd = every, next, sink, end
 }

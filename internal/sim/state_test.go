@@ -315,6 +315,56 @@ func TestResumeFuzzRandomCycle(t *testing.T) {
 	}
 }
 
+// TestSnapshotBetweenSegments pins the contract checkpointing rests on: a
+// checkpoint is the machine between two RunTo segments, nothing more. A
+// system driven by hand to cycle c (warmup, beginMeasure, one RunTo(c))
+// serializes to exactly the bytes RunWithCheckpoints hands its sink at c,
+// although the checkpointed run reached c through other segment
+// boundaries.
+func TestSnapshotBetweenSegments(t *testing.T) {
+	const every = 3_777 // does not divide the 20k window
+	for _, k := range []core.Kind{core.KindREFab, core.KindDSARP} {
+		cfg := Config{
+			Workload:  smallWorkload(),
+			Mechanism: k,
+			Density:   timing.Gb32,
+			Seed:      11,
+			Warmup:    5_000,
+			Measure:   20_000,
+		}.WithDefaults()
+		var cycles []int64
+		snaps := map[int64][]byte{}
+		if _, err := RunWithCheckpoints(cfg, every, func(c int64, data []byte) {
+			cycles = append(cycles, c)
+			snaps[c] = data
+		}); err != nil {
+			t.Fatal(err)
+		}
+		want := []int64{cfg.Warmup}
+		for c := cfg.Warmup + every; c < cfg.Warmup+cfg.Measure; c += every {
+			want = append(want, c)
+		}
+		if !reflect.DeepEqual(cycles, want) {
+			t.Fatalf("%s: checkpoints at %v, want %v", k, cycles, want)
+		}
+		for _, c := range want[1:] {
+			s, err := NewSystem(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.RunTo(cfg.Warmup)
+			s.beginMeasure()
+			s.RunTo(c)
+			if s.Now() != c {
+				t.Fatalf("%s: RunTo(%d) stopped at %d", k, c, s.Now())
+			}
+			if !bytes.Equal(s.Snapshot(), snaps[c]) {
+				t.Errorf("%s: snapshot after RunTo(%d) differs from the checkpoint at %d", k, c, c)
+			}
+		}
+	}
+}
+
 // TestRestoreRefusesMismatch pins the refusal paths: corrupt payloads,
 // version skew, checked configs, and wrong-shape configs never restore.
 func TestRestoreRefusesMismatch(t *testing.T) {
@@ -426,9 +476,9 @@ func TestRestoreRejectsHostileSnapshot(t *testing.T) {
 		{"trace rng length", "core0", -60, short, "rng state"},
 		// DARP's rng blob opens its policy section.
 		{"darp rng prefix", "policy0", 8, []byte("pcx:"), "rng state"},
-		// The read queue's bucket count follows 9 header fields (58 bytes)
+		// The read queue's bucket count follows 8 header fields (50 bytes)
 		// and 13 stats.
-		{"queue buckets", "ctrl0", 58 + 13*8, huge, "queue buckets"},
+		{"queue buckets", "ctrl0", 50 + 13*8, huge, "queue buckets"},
 		// The pending-writeback count follows the LRU clock, 5 stats and
 		// the tag store (per set: mru + ways x 18-byte lines).
 		{"pending writebacks", "slice0", 6*8 + sets*(8+cfg.Cache.Ways*18), huge, "pending lists"},

@@ -129,11 +129,11 @@ type Stats struct {
 	SnapshotEntries int   `json:"snapshot_entries"`
 	SnapshotBytes   int64 `json:"snapshot_bytes"`
 	Hits            int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Puts      int64 `json:"puts"`
-	Corrupt   int64 `json:"corrupt"` // entries deleted because verification failed
-	Evicted   int64 `json:"evicted"` // entries removed by the byte cap
-	WriteErrs int64 `json:"write_errs"`
+	Misses          int64 `json:"misses"`
+	Puts            int64 `json:"puts"`
+	Corrupt         int64 `json:"corrupt"` // entries deleted because verification failed
+	Evicted         int64 `json:"evicted"` // entries removed by the byte cap
+	WriteErrs       int64 `json:"write_errs"`
 	// Expired/ExpiredBytes count the entries swept at Open because the
 	// store's manifest named an older schema generation than
 	// Options.Generation (their keys can never be addressed again).
@@ -163,16 +163,16 @@ type Store struct {
 	dir  string
 	opts Options
 
-	mu       sync.Mutex
-	entries  map[entryKey]*entry
-	bytes    int64
+	mu      sync.Mutex
+	entries map[entryKey]*entry
+	bytes   int64
 	// kindEntries/kindBytes split the totals by namespace for Stats and
 	// for the snapshot-first eviction order.
 	kindEntries [2]int
 	kindBytes   [2]int64
-	clock    int64
-	stats    Stats
-	degraded string // non-empty = read-only, value is the reason
+	clock       int64
+	stats       Stats
+	degraded    string // non-empty = read-only, value is the reason
 }
 
 // Open creates (if necessary) and indexes the store rooted at dir. With

@@ -242,12 +242,6 @@ func DDR3(cfg Config) Params {
 	return p
 }
 
-// ReadLatency is the minimum cycles from RD issue to last data beat.
-func (p Params) ReadLatency() int { return p.CL + p.BL }
-
-// WriteLatency is the minimum cycles from WR issue to last data beat.
-func (p Params) WriteLatency() int { return p.CWL + p.BL }
-
 // SARPThrottledAB returns tFAW and tRRD inflated for all-bank SARP refresh.
 func (p Params) SARPThrottledAB() (tfaw, trrd int) {
 	return scaleUp(p.TFAW, p.SARPThrottleABx1000), scaleUp(p.TRRD, p.SARPThrottleABx1000)
